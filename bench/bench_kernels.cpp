@@ -51,8 +51,8 @@ void stepBench(benchmark::State& state, lb::LbParams params) {
   });
 }
 
-// Fused (default) vs reference three-phase kernel on the same geometry:
-// compare the MLUPS counters to read the fusion speedup.
+// Production (SIMD) vs reference three-phase kernel on the same geometry:
+// compare the MLUPS counters to read the production kernel's speedup.
 void BM_StepD3Q19Bgk(benchmark::State& state) {
   stepBench<lb::D3Q19>(state, flowParams());
 }
@@ -64,13 +64,6 @@ void BM_StepD3Q19BgkReference(benchmark::State& state) {
   stepBench<lb::D3Q19>(state, p);
 }
 BENCHMARK(BM_StepD3Q19BgkReference)->Unit(benchmark::kMillisecond);
-
-void BM_StepD3Q19BgkSimd(benchmark::State& state) {
-  auto p = flowParams();
-  p.kernel = lb::LbParams::Kernel::kSimd;
-  stepBench<lb::D3Q19>(state, p);
-}
-BENCHMARK(BM_StepD3Q19BgkSimd)->Unit(benchmark::kMillisecond);
 
 void BM_StepD3Q19Trt(benchmark::State& state) {
   auto p = flowParams();
@@ -257,36 +250,21 @@ int main(int argc, char** argv) {
   report.setParam("simdBackend", simd::backendName());
   report.setParam("simdWidth", static_cast<std::int64_t>(simd::kWidth));
 
-  struct Variant {
-    const char* label;
-    lb::LbParams params;
-  };
   auto reference = [](lb::LbParams p) {
     p.kernel = lb::LbParams::Kernel::kReference;
-    return p;
-  };
-  auto simdK = [](lb::LbParams p) {
-    p.kernel = lb::LbParams::Kernel::kSimd;
-    return p;
-  };
-  auto aos = [](lb::LbParams p) {
-    p.layout = lb::Layout::kAoS;
     return p;
   };
   auto trt = [](lb::LbParams p) {
     p.collision = lb::LbParams::Collision::kTrt;
     return p;
   };
-  const Variant variants[] = {
-      {"d3q19-bgk-fused", flowParams()},
-      {"d3q19-bgk-fused-aos", aos(flowParams())},
-      {"d3q19-bgk-reference", reference(flowParams())},
-      {"d3q19-bgk-simd", simdK(flowParams())},
-      {"d3q19-trt-fused", trt(flowParams())},
-      {"d3q19-trt-reference", reference(trt(flowParams()))},
-      {"d3q19-trt-simd", simdK(trt(flowParams()))},
+  const struct {
+    const char* label;
+    lb::LbParams params;
+  } configs[] = {
+      {"d3q19-bgk", flowParams()},
+      {"d3q19-trt", trt(flowParams())},
       {"d3q19-bgk-stress", flowParams(true)},
-      {"d3q19-bgk-stress-simd", simdK(flowParams(true))},
   };
 
   // Roofline: copy bandwidth over the same footprint as the distribution
@@ -307,57 +285,47 @@ int main(int argc, char** argv) {
                 "stream-copy-roofline", gbps, attainable, bytesPerSite);
   }
 
-  for (const auto& v : variants) {
-    const double mlups = directMlups(setup, v.params, steps, 10);
-    auto& row = report.addRow(v.label);
-    row.set("mlups", mlups);
-    row.set("kernel", v.params.kernelName());
-    row.set("layout", lb::layoutName(v.params.layout));
-    row.set("simdWidth",
-            static_cast<std::uint64_t>(
-                v.params.kernel == lb::LbParams::Kernel::kSimd ? simd::kWidth
-                                                               : 1));
-    if (attainable > 0.0) row.set("fractionOfRoofline", mlups / attainable);
-    std::printf("%-22s %8.2f MLUPS (%.0f%% of roofline)\n", v.label, mlups,
-                100.0 * mlups / attainable);
-  }
+  // One row per kernel and configuration: the production row carries its
+  // speedup over the reference oracle on the same geometry.
+  const auto addPair = [&](const std::string& label, const SerialSetup& geo,
+                           const lb::LbParams& params, int warmupSteps) {
+    const double prodMlups = directMlups(geo, params, steps, warmupSteps);
+    const double refMlups =
+        directMlups(geo, reference(params), steps, warmupSteps);
+    const auto sites = static_cast<std::uint64_t>(geo.lattice.numFluidSites());
+    for (const bool prod : {true, false}) {
+      const lb::LbParams p = prod ? params : reference(params);
+      const double mlups = prod ? prodMlups : refMlups;
+      const std::string name = label + "-" + p.kernelName();
+      auto& row = report.addRow(name);
+      row.set("mlups", mlups);
+      row.set("kernel", p.kernelName());
+      row.set("simdWidth",
+              static_cast<std::uint64_t>(prod ? simd::kWidth : 1));
+      row.set("sites", sites);
+      if (attainable > 0.0) row.set("fractionOfRoofline", mlups / attainable);
+      if (prod && refMlups > 0.0) row.set("vsReference", mlups / refMlups);
+      std::printf("%-28s %8.2f MLUPS (%.0f%% of roofline", name.c_str(),
+                  mlups, attainable > 0.0 ? 100.0 * mlups / attainable : 0.0);
+      if (prod && refMlups > 0.0) {
+        std::printf(", %.2fx reference", mlups / refMlups);
+      }
+      std::printf(")\n");
+    }
+  };
+  for (const auto& c : configs) addPair(c.label, setup, c.params, 10);
 
-  // The same fused/SIMD pair on a diameter-2 vessel: the thin tube above
-  // is ~22% frontier sites, which over-weights boundary handling relative
-  // to the production domains the layout targets — the wider vessel
-  // (~12% frontier) is the bulk-dominated regime where the strip kernel's
+  // The same pair on a diameter-2 vessel: the thin tube above is ~22%
+  // frontier sites, which over-weights boundary handling relative to the
+  // production domains the layout targets — the wider vessel (~12%
+  // frontier) is the bulk-dominated regime where the strip kernel's
   // advantage is representative.
   {
     geometry::VoxelizeOptions opt;
     opt.voxelSize = 0.08;
     SerialSetup thick(
         geometry::voxelize(geometry::makeStraightTube(6.0, 2.0), opt));
-    const std::int64_t sites =
-        static_cast<std::int64_t>(thick.lattice.numFluidSites());
-    const double fusedMlups = directMlups(thick, flowParams(), steps, 5);
-    const double simdMlups =
-        directMlups(thick, simdK(flowParams()), steps, 5);
-    const struct {
-      const char* label;
-      double mlups;
-      const char* kernel;
-      int width;
-    } rows[] = {
-        {"d3q19-bgk-fused-d2", fusedMlups, "fused", 1},
-        {"d3q19-bgk-simd-d2", simdMlups, "simd", simd::kWidth},
-    };
-    for (const auto& r : rows) {
-      auto& row = report.addRow(r.label);
-      row.set("mlups", r.mlups);
-      row.set("kernel", r.kernel);
-      row.set("layout", lb::layoutName(lb::Layout::kSoA));
-      row.set("simdWidth", static_cast<std::uint64_t>(r.width));
-      row.set("sites", static_cast<std::uint64_t>(sites));
-      if (fusedMlups > 0.0) row.set("vsFused", r.mlups / fusedMlups);
-      std::printf("%-22s %8.2f MLUPS (%.2fx fused, %lld sites)\n", r.label,
-                  r.mlups, r.mlups / fusedMlups,
-                  static_cast<long long>(sites));
-    }
+    addPair("d3q19-bgk-d2", thick, flowParams(), 5);
   }
   report.write();
   return 0;

@@ -24,7 +24,7 @@ struct ScalePoint {
   std::uint64_t haloBytesPerStep = 0;
   std::uint64_t haloMsgsPerStep = 0;
   double modeledSeconds = 0.0;
-  /// Fraction of the halo window hidden behind the fused bulk sweep,
+  /// Fraction of the halo window hidden behind the bulk sweep,
   /// averaged over ranks (overlap wall time vs residual receive wait).
   double commHidden = 0.0;
   /// Million site updates per modeled second.
@@ -127,12 +127,11 @@ ScalePoint measure(const geometry::SparseLattice& lattice, int ranks,
 
 /// One JSON row per scale point, same fields for strong and weak scaling.
 void addScaleRow(BenchReport& report, const char* series,
-                 const ScalePoint& p, double speedup,
-                 const char* kernel = "fused") {
+                 const ScalePoint& p, double speedup) {
   auto& row = report.addRow(std::string(series) + "/ranks=" +
                             std::to_string(p.ranks));
   row.set("series", std::string(series));
-  row.set("kernel", std::string(kernel));
+  row.set("kernel", std::string(flowParams().kernelName()));
   row.set("ranks", static_cast<std::uint64_t>(p.ranks));
   row.set("sites", p.sites);
   row.set("mlups", p.mlups);
@@ -190,31 +189,6 @@ int main() {
                 p.waitLateSenderPct, p.waitLateReceiverPct,
                 p.waitCollectivePct, p.waitStragglerRank);
     addScaleRow(report, "strong", p, speedup);
-  }
-
-  // Same strong-scaling sweep with the vectorised SoA kernel: the busy
-  // time per rank drops, so the halo window is a larger fraction of the
-  // step — the series shows whether the overlap still hides it.
-  printHeader("Strong scaling, SIMD kernel (S2)");
-  std::printf("%-7s %12s %12s %10s %10s %9s %9s %7s %6s\n", "ranks",
-              "mod.time s", "speedup", "eff", "hidden%", "late-snd%",
-              "late-rcv%", "coll%", "strag");
-  ScalePoint simdBase;
-  for (const int ranks : {1, 2, 4, 8, 16, 32}) {
-    auto params = flowParams();
-    params.kernel = lb::LbParams::Kernel::kSimd;
-    const auto p = measure(lattice, ranks, steps, params);
-    if (ranks == 1) simdBase = p;
-    const double speedup =
-        p.modeledSeconds > 0.0 ? simdBase.modeledSeconds / p.modeledSeconds
-                               : 0.0;
-    std::printf("%-7d %12.4f %12.2f %9.0f%% %9.0f%% %8.0f%% %8.0f%% %6.0f%% "
-                "%6d\n",
-                ranks, p.modeledSeconds, speedup, 100.0 * speedup / ranks,
-                100.0 * p.commHidden, p.waitLateSenderPct,
-                p.waitLateReceiverPct, p.waitCollectivePct,
-                p.waitStragglerRank);
-    addScaleRow(report, "strong-simd", p, speedup, "simd");
   }
 
   // --- weak scaling --------------------------------------------------------------

@@ -225,19 +225,9 @@ class BenchReport {
     return host[0] != '\0' ? host : "unknown";
   }
 
-  static std::string gitRevision() {
-    std::FILE* p = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-    if (p == nullptr) return "unknown";
-    char buf[64] = {};
-    const bool got = std::fgets(buf, sizeof buf, p) != nullptr;
-    ::pclose(p);
-    if (!got) return "unknown";
-    std::string rev(buf);
-    while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-      rev.pop_back();
-    }
-    return rev.empty() ? "unknown" : rev;
-  }
+  /// Source revision baked in when the bench build was configured
+  /// (bench/CMakeLists.txt), so reports name it wherever the binary runs.
+  static std::string gitRevision() { return HEMO_GIT_REV; }
 
  private:
   static std::string num(double v) {

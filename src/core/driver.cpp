@@ -45,7 +45,6 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
 
   if (comm.rank() == 0) {
     HEMO_LOG_INFO() << "lb hot path: kernel=" << config.lb.kernelName()
-                    << " layout=" << lb::layoutName(config.lb.layout)
                     << " simd=" << simd::backendName() << " width="
                     << simd::kWidth
                     << (solver_->usesNtStores() ? " nt-stores=on"

@@ -60,10 +60,11 @@ class DomainMap {
 /// Hot-path site permutation built by the solver over a rank's owned sites.
 ///
 /// The solver stores distributions in an *internal* order chosen for the
-/// fused collide–stream kernel: frontier sites (any streaming pull that
-/// crosses a rank boundary, a wall, or an iolet) come first so their
-/// outgoing halo populations can be computed and posted before the bulk
-/// sweep; bulk sites follow, sub-sorted by Morton key for cache locality.
+/// collide–stream kernel: frontier sites (any streaming pull that crosses
+/// a rank boundary, a wall, or an iolet) come first so their outgoing halo
+/// populations can be computed and posted before the bulk sweep; bulk
+/// sites follow in row-major order (x fastest), so the streamed writes
+/// decompose into long unit-stride runs.
 ///
 /// Contract: *external* local indices — the DomainMap order used by
 /// checkpointing, visualisation sampling, WSS extraction and every test —

@@ -1,28 +1,20 @@
 #pragma once
 /// \file layout.hpp
-/// \brief Distribution-storage layouts for the LB solver.
+/// \brief Distribution storage for the LB solver.
 ///
-/// `DistField` owns the per-rank distribution values in one slab and hides
-/// the memory layout behind a (direction, internal site) addressing scheme:
+/// `DistField` owns the per-rank distribution values in one slab of
+/// structure-of-arrays planes: one contiguous plane of doubles per velocity
+/// direction, addressed as (direction, internal site). Planes are 64-byte
+/// aligned and padded to an *odd* multiple of eight doubles, so (a) a SIMD
+/// sweep can load full vectors off either end of a plane without faulting,
+/// and (b) the planes of a D3Q19 field do not collide in the same cache
+/// sets when the site count happens to be a large power of two. Lane w of
+/// a vector is site l+w of the same direction.
 ///
-///   * **kSoA** — one contiguous plane of doubles per velocity direction.
-///     Planes are 64-byte aligned and padded to an *odd* multiple of eight
-///     doubles, so (a) a SIMD sweep can load full vectors off either end of
-///     a plane without faulting, and (b) the 19 planes of a D3Q19 field do
-///     not collide in the same cache sets when the site count happens to be
-///     a large power of two. This is the layout the vectorised kernel
-///     requires: lane w of a vector is site l+w of the same direction.
-///   * **kAoS** — the textbook site-major `f[l*Q + i]` record layout, kept
-///     as the layout-equivalence reference: everything that goes through
-///     the gather/scatter accessors (checkpointing, the wire observables,
-///     vis extraction, tests) must produce bit-identical bytes under both.
-///
-/// Hot kernels never call `at()`; they hoist `dirBase()`/`siteStride()`
-/// once per sweep (stride 1 for SoA planes, Q for AoS records) so the
-/// compiler sees plain strided pointers.
+/// Hot kernels never call `at()`; they hoist `dirBase()` once per sweep so
+/// the compiler sees plain unit-stride pointers.
 
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 
 #include "util/check.hpp"
@@ -30,70 +22,47 @@
 
 namespace hemo::lb {
 
-enum class Layout : std::uint8_t { kAoS, kSoA };
-
-inline const char* layoutName(Layout l) {
-  return l == Layout::kAoS ? "aos" : "soa";
-}
-
 template <int Q>
 class DistField {
  public:
-  void init(Layout layout, std::size_t n) {
-    layout_ = layout;
+  void init(std::size_t n) {
     n_ = n;
-    if (layout == Layout::kSoA) {
-      // Pad each plane to an odd multiple of 8 doubles (one cache line):
-      // aligned plane starts, and consecutive planes staggered across sets.
-      pitch_ = (n + 7) / 8 * 8;
-      if ((pitch_ / 8) % 2 == 0) pitch_ += 8;
-      data_.assign(pitch_ * static_cast<std::size_t>(Q), 0.0);
-    } else {
-      pitch_ = 0;
-      data_.assign(n * static_cast<std::size_t>(Q), 0.0);
-    }
+    // Pad each plane to an odd multiple of 8 doubles (one cache line):
+    // aligned plane starts, and consecutive planes staggered across sets.
+    pitch_ = (n + 7) / 8 * 8;
+    if ((pitch_ / 8) % 2 == 0) pitch_ += 8;
+    data_.assign(pitch_ * static_cast<std::size_t>(Q), 0.0);
   }
 
-  Layout layout() const { return layout_; }
   std::size_t numSites() const { return n_; }
 
-  /// Distance in doubles between the same direction of sites l and l+1.
-  std::size_t siteStride() const { return layout_ == Layout::kSoA ? 1 : Q; }
-
-  /// Base pointer such that direction q of site l is dirBase(q)[l *
-  /// siteStride()]. For SoA this is the (64-byte aligned) plane of q.
+  /// The (64-byte aligned) plane of direction q: site l is dirBase(q)[l].
   double* dirBase(int q) {
-    return layout_ == Layout::kSoA
-               ? data_.data() + static_cast<std::size_t>(q) * pitch_
-               : data_.data() + static_cast<std::size_t>(q);
+    return data_.data() + static_cast<std::size_t>(q) * pitch_;
   }
   const double* dirBase(int q) const {
-    return const_cast<DistField*>(this)->dirBase(q);
+    return data_.data() + static_cast<std::size_t>(q) * pitch_;
   }
 
-  double& at(int q, std::size_t l) { return dirBase(q)[l * siteStride()]; }
-  double at(int q, std::size_t l) const {
-    return dirBase(q)[l * siteStride()];
-  }
+  double& at(int q, std::size_t l) { return dirBase(q)[l]; }
+  double at(int q, std::size_t l) const { return dirBase(q)[l]; }
 
   /// Set direction q of every site to v (equilibrium init).
   void fill(int q, double v) {
     double* base = dirBase(q);
-    const std::size_t s = siteStride();
-    for (std::size_t l = 0; l < n_; ++l) base[l * s] = v;
+    for (std::size_t l = 0; l < n_; ++l) base[l] = v;
   }
 
   /// O(1): swap the slabs (the per-step f/fNext flip).
   void swapWith(DistField& o) {
-    HEMO_CHECK(layout_ == o.layout_ && n_ == o.n_);
+    HEMO_CHECK(n_ == o.n_);
     std::swap(pitch_, o.pitch_);
     data_.swap(o.data_);
   }
 
  private:
-  Layout layout_ = Layout::kSoA;
   std::size_t n_ = 0;
-  std::size_t pitch_ = 0;  ///< SoA plane pitch in doubles (0 under AoS)
+  std::size_t pitch_ = 0;  ///< plane pitch in doubles
   simd::AVector<double> data_;
 };
 

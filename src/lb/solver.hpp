@@ -7,46 +7,38 @@
 /// pressure inlets/outlets, Guo forcing, and per-step halo exchange of the
 /// distribution values that stream across rank boundaries.
 ///
-/// Distributions live behind a layout-agnostic storage class
-/// (lb/layout.hpp): **kSoA** keeps one aligned, padded plane per velocity
-/// direction (what the vectorised kernel requires), **kAoS** the textbook
-/// site-major record layout kept as the layout-equivalence reference. Every
-/// public surface (checkpointing, observables, vis extraction) goes through
-/// the same gather/scatter accessors, so the external format is identical
-/// under either layout.
+/// Distributions live in structure-of-arrays planes (lb/layout.hpp), one
+/// aligned, padded plane per velocity direction. Every public surface
+/// (checkpointing, observables, vis extraction) goes through gather/
+/// scatter accessors in external (DomainMap) site order.
 ///
-/// Three kernels drive the hot path (LbParams::kernel):
+/// One production kernel drives the hot path, plus a test oracle
+/// (LbParams::kernel):
 ///
-/// * **kSimd**: the fused push sweep with the bulk pass rewritten as
+/// * **kSimd** (default): one pass per site fuses collision and streaming.
+///   Owned sites are internally reordered frontier-first (SiteReordering):
+///   the frontier pass collides every site whose update touches a rank
+///   boundary, wall or iolet, applies the local boundary rules and drops
+///   the outgoing halo populations straight into persistent send buffers;
+///   the halo messages are then posted and the bulk sites are processed
+///   *while the messages are in flight*; finally the receives are drained
+///   directly into the frontier sites' fNext slots. Both passes run as
 ///   cache-blocked, branch-free SIMD strips over the SoA planes
 ///   (util/simd.hpp: AVX-512/AVX2 intrinsics with a scalar fallback). Bulk
-///   sites are sorted row-major (x fastest) instead of by Morton code, so
-///   the per-direction push destinations decompose into long unit-stride
-///   runs (the propagation-optimised layout of Wittmann et al.); the
-///   streamed writes then retire through non-temporal stores once the
-///   working set outgrows the last-level cache. Frontier sites vectorise
-///   the same way — their local pushes and wall folds also decompose into
-///   unit-stride runs — leaving only iolet rules and halo sends on the
-///   per-op scalar path.
-/// * **kFused** (default): one pass per site fuses collision and streaming.
-///   Owned sites are internally reordered frontier-first (see
-///   SiteReordering): the frontier pass collides every site whose update
-///   touches a rank boundary, wall or iolet, applies the local boundary
-///   rules, and drops the outgoing halo populations straight into
-///   persistent send buffers; the halo messages are then posted and the
-///   bulk sites — all-local, Morton-sorted, branch-free push loop — are
-///   processed *while the messages are in flight*; finally the receives
-///   are drained directly into the frontier sites' fNext slots. This
-///   eliminates the intermediate full-lattice read/write round trip of the
-///   three-phase path and hides communication behind the bulk sweep.
-/// * **kReference**: the textbook three-phase collide → blocking exchange →
-///   pull-stream, kept for paired equivalence testing and benchmarking.
+///   sites are sorted row-major (x fastest), so the per-direction push
+///   destinations decompose into long unit-stride runs (the
+///   propagation-optimised layout of Wittmann et al.); the streamed writes
+///   retire through non-temporal stores once the working set outgrows the
+///   last-level cache. Only iolet rules and halo sends stay on a per-op
+///   scalar path.
+/// * **kReference**: the textbook three-phase collide -> blocking exchange
+///   -> pull-stream, kept only as the oracle of the equivalence tests.
 ///
-/// Both kernels perform the identical floating-point update per site (the
-/// collision is shared), so their trajectories agree bitwise. Streaming
-/// uses f_i(x, t+1) = f*_i(x − c_i, t); the fused kernel realises it as a
-/// push from the collided site, the reference kernel as a pull at the
-/// destination — same values, different sweep structure.
+/// Streaming uses f_i(x, t+1) = f*_i(x - c_i, t); the production kernel
+/// realises it as a push from the collided site, the reference kernel as
+/// a pull at the destination. The per-site arithmetic is the same update
+/// to round-off, so the trajectories agree to ~1e-12 over hundreds of
+/// steps.
 
 #include <algorithm>
 #include <cstdint>
@@ -63,7 +55,6 @@
 #include "lb/layout.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
-#include "util/morton.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
 
@@ -81,28 +72,15 @@ struct LbParams {
   Vec3d bodyForce{0, 0, 0};
   /// Also accumulate the deviatoric stress tensor during collision.
   bool computeStress = false;
-  /// Hot-path kernel; kSimd is the vectorised fused sweep (requires the
-  /// SoA layout), kReference the three-phase collide/exchange/stream sweep
-  /// kept for equivalence testing and benchmarking.
-  enum class Kernel { kFused, kReference, kSimd } kernel = Kernel::kFused;
-  /// Distribution storage layout (lb/layout.hpp). kAoS is the site-major
-  /// reference layout for layout-equivalence tests.
-  Layout layout = Layout::kSoA;
-  /// Non-temporal store policy for the SIMD kernel's streamed writes.
-  /// kAuto streams only once the distribution working set clearly exceeds
-  /// cache capacity (NT stores evict lines the next step would rehit).
-  enum class NtStores { kAuto, kOn, kOff } ntStores = NtStores::kAuto;
+  /// Hot-path kernel: kSimd is the production collide+stream sweep,
+  /// kReference the three-phase oracle the equivalence tests compare with.
+  enum class Kernel { kSimd, kReference } kernel = Kernel::kSimd;
 
   /// Kinematic viscosity implied by tau (lattice units).
   double viscosity() const { return kCs2 * (tau - 0.5); }
 
   const char* kernelName() const {
-    switch (kernel) {
-      case Kernel::kFused: return "fused";
-      case Kernel::kReference: return "reference";
-      case Kernel::kSimd: return "simd";
-    }
-    return "?";
+    return kernel == Kernel::kSimd ? "simd" : "reference";
   }
 };
 
@@ -110,9 +88,6 @@ template <typename Lattice>
 class Solver {
  public:
   static constexpr int kQ = Lattice::kQ;
-  /// Bulk sites collided per block in the fused kernel; the block buffer
-  /// (kBulkBlock * kQ doubles) must stay L1-resident.
-  static constexpr std::uint32_t kBulkBlock = 64;
   /// Sites per SIMD store strip (frontier and bulk passes share the one
   /// strip buffer). Sized so the per-direction drain writes long
   /// sequential bursts (the buffer, ~150 KB for D3Q19, spills to L2 —
@@ -121,15 +96,15 @@ class Solver {
   /// write-combining).
   static constexpr std::uint32_t kBulkStrip = 1024;
   static_assert(kBulkStrip % simd::kWidth == 0);
-  /// kAuto NT-store fallback threshold when the LLC size is unknown:
-  /// stream past the cache only when f + fNext exceed this (smaller
-  /// lattices rehit the lines next step).
+  /// NT-store fallback threshold when the LLC size is unknown: stream
+  /// past the cache only when f + fNext exceed this (smaller lattices
+  /// rehit the lines next step).
   static constexpr std::size_t kNtAutoBytes = std::size_t{16} << 20;
 
-  /// kAuto NT-store threshold: the last-level cache size when the OS
-  /// reports it, else kNtAutoBytes. Non-temporal stores only pay once
-  /// the slabs cannot stay LLC-resident between steps — streaming an
-  /// LLC-resident working set to DRAM was measured ~20% slower.
+  /// NT-store threshold: the last-level cache size when the OS reports
+  /// it, else kNtAutoBytes. Non-temporal stores only pay once the slabs
+  /// cannot stay LLC-resident between steps — streaming an LLC-resident
+  /// working set to DRAM was measured ~20% slower.
   static std::size_t ntAutoThresholdBytes() {
 #if defined(__linux__) && defined(_SC_LEVEL3_CACHE_SIZE)
     const long l3 = ::sysconf(_SC_LEVEL3_CACHE_SIZE);
@@ -142,23 +117,17 @@ class Solver {
          const LbParams& params)
       : domain_(&domain), comm_(&comm), params_(params) {
     HEMO_CHECK_MSG(params.tau > 0.5, "tau must exceed 0.5 for stability");
-    HEMO_CHECK_MSG(
-        params.kernel != LbParams::Kernel::kSimd ||
-            params.layout == Layout::kSoA,
-        "the SIMD kernel requires the SoA layout (LbParams::layout)");
-    f_.init(params.layout, domain.numOwned());
-    fNext_.init(params.layout, domain.numOwned());
+    f_.init(domain.numOwned());
+    fNext_.init(domain.numOwned());
     const std::size_t distBytes =
         2 * domain.numOwned() * static_cast<std::size_t>(kQ) * sizeof(double);
-    useNt_ = params.ntStores == LbParams::NtStores::kOn ||
-             (params.ntStores == LbParams::NtStores::kAuto &&
-              distBytes > ntAutoThresholdBytes());
+    useNt_ = distBytes > ntAutoThresholdBytes();
     for (const auto& io : domain.lattice().iolets()) {
       ioletDensity_.push_back(io.density);
       ioletVelocity_.push_back(io.normal.normalized() * io.speed);
       ioletIsVelocityBc_.push_back(io.bc == geometry::Iolet::Bc::kVelocity);
     }
-    buildPullTable();
+    buildTables();
     initEquilibrium(1.0, Vec3d{0, 0, 0});
   }
 
@@ -237,9 +206,7 @@ class Solver {
     }
   }
 
-  /// One full LB update. The scalar kernels are instantiated per layout
-  /// (site stride 1 for SoA planes, kQ for AoS records); the SIMD kernel
-  /// is SoA-only by construction.
+  /// One full LB update.
   void step() {
 #ifndef HEMO_TELEMETRY_DISABLED
     // Phase-tag the step for wait-state attribution: every envelope this
@@ -249,29 +216,12 @@ class Solver {
       t->waitState().setEpoch(stepsDone_ + 1);
     }
 #endif
-    const bool soa = params_.layout == Layout::kSoA;
-    switch (params_.kernel) {
-      case LbParams::Kernel::kReference:
-        if (soa) {
-          collide<1>();
-          exchange<1>();
-          stream<1>();
-        } else {
-          collide<kQ>();
-          exchange<kQ>();
-          stream<kQ>();
-        }
-        break;
-      case LbParams::Kernel::kFused:
-        if (soa) {
-          stepFused<1>();
-        } else {
-          stepFused<kQ>();
-        }
-        break;
-      case LbParams::Kernel::kSimd:
-        stepSimd();
-        break;
+    if (params_.kernel == LbParams::Kernel::kReference) {
+      collide();
+      exchange();
+      stream();
+    } else {
+      stepSimd();
     }
     f_.swapWith(fNext_);
     ++stepsDone_;
@@ -301,8 +251,9 @@ class Solver {
     return p;
   }
 
-  /// Per-phase CPU time accumulated on this rank. In the fused kernel
-  /// collide covers both fused passes and stream the receive scatter.
+  /// Per-phase CPU time accumulated on this rank. In the production kernel
+  /// collide covers the frontier and bulk passes, stream the receive
+  /// scatter.
   const PhaseTimer& collideTimer() const { return collideTimer_; }
   const PhaseTimer& streamTimer() const { return streamTimer_; }
   const PhaseTimer& commTimer() const { return commTimer_; }
@@ -335,14 +286,12 @@ class Solver {
   }
 
   /// As distribution(), but into caller-owned storage (checkpointing).
-  /// Layout-agnostic: identical external-order bytes under kSoA and kAoS.
   void gatherDistribution(int i, std::vector<double>& out) const {
     const std::size_t n = domain_->numOwned();
     out.resize(n);
     const double* fi = f_.dirBase(i);
-    const std::size_t s = f_.siteStride();
     for (std::size_t l = 0; l < n; ++l) {
-      out[static_cast<std::size_t>(reorder_.externalOf[l])] = fi[l * s];
+      out[static_cast<std::size_t>(reorder_.externalOf[l])] = fi[l];
     }
   }
 
@@ -350,9 +299,8 @@ class Solver {
   void setDistribution(int i, const std::vector<double>& values) {
     HEMO_CHECK(values.size() == domain_->numOwned());
     double* fi = f_.dirBase(i);
-    const std::size_t s = f_.siteStride();
     for (std::size_t e = 0; e < values.size(); ++e) {
-      fi[static_cast<std::size_t>(reorder_.internalOf[e]) * s] = values[e];
+      fi[static_cast<std::size_t>(reorder_.internalOf[e])] = values[e];
     }
     refreshMacros();
   }
@@ -362,13 +310,12 @@ class Solver {
   /// used by live migration).
   void setDistributions(const std::vector<std::vector<double>>& columns) {
     HEMO_CHECK(columns.size() == static_cast<std::size_t>(kQ));
-    const std::size_t s = f_.siteStride();
     for (int i = 0; i < kQ; ++i) {
       const auto& values = columns[static_cast<std::size_t>(i)];
       HEMO_CHECK(values.size() == domain_->numOwned());
       double* fi = f_.dirBase(i);
       for (std::size_t e = 0; e < values.size(); ++e) {
-        fi[static_cast<std::size_t>(reorder_.internalOf[e]) * s] = values[e];
+        fi[static_cast<std::size_t>(reorder_.internalOf[e])] = values[e];
       }
     }
     refreshMacros();
@@ -389,16 +336,15 @@ class Solver {
     std::uint32_t index = 0;  ///< internal idx / flat recv slot / iolet id
   };
 
-  /// One boundary/halo action of a frontier site's fused update.
+  /// One scalar boundary/halo action of a frontier site's update.
   enum class OpKind : std::uint8_t {
-    kPushLocal,  ///< fNext[dir][index] = f*[dir]
-    kSend,       ///< sendFlat_[index] = f*[dir]
-    kWall,       ///< fNext[dir][self] = f*[opposite(dir)] (bounce-back)
-    kIolet       ///< fNext[dir][self] = iolet rule (index = iolet id)
+    kSend,  ///< sendFlat_[index] = f*[dir]
+    kWall,  ///< fNext[dir][self] = f*[opposite(dir)] (bounce-back)
+    kIolet  ///< fNext[dir][self] = iolet rule (index = iolet id)
   };
-  struct FrontierOp {
+  struct BoundaryOp {
     std::uint32_t index = 0;
-    std::uint8_t kind = 0;
+    OpKind kind = OpKind::kSend;
     std::uint8_t dir = 0;
   };
   struct RecvDst {
@@ -406,10 +352,14 @@ class Solver {
     std::uint16_t dir = 0;
   };
 
-  void buildPullTable() {
+  /// Site reordering, halo plans, and the streaming tables of the selected
+  /// kernel: the pull table for the reference oracle, the push tables and
+  /// unit-stride runs for the production kernel (never both).
+  void buildTables() {
     const auto& lat = domain_->lattice();
     const auto& set = Lattice::kSet;
     const std::size_t n = domain_->numOwned();
+    const bool reference = params_.kernel == LbParams::Kernel::kReference;
 
     // --- classify owned sites: bulk (every pull is local) vs frontier ----
     std::vector<std::uint8_t> isFrontier(n, 0);
@@ -427,7 +377,7 @@ class Solver {
       }
     }
 
-    // --- internal ordering: frontier first (stable), bulk Morton-sorted --
+    // --- internal ordering: frontier first (stable), bulk row-major -----
     reorder_.externalOf.clear();
     reorder_.externalOf.reserve(n);
     for (std::size_t e = 0; e < n; ++e) {
@@ -436,14 +386,11 @@ class Solver {
       }
     }
     reorder_.numFrontier = static_cast<std::uint32_t>(reorder_.externalOf.size());
-    // Bulk ordering: Morton for the scalar kernels (neighbour locality),
-    // row-major (x fastest) for the SIMD kernel — consecutive internal
-    // indices are then x-consecutive sites, so the per-direction push
-    // destinations decompose into long unit-stride runs the store pass can
-    // retire as whole vectors (the propagation-optimised layout).
-    const bool rowMajor = params_.kernel == LbParams::Kernel::kSimd;
-    const auto sortKey = [&](const Vec3i& p) -> std::uint64_t {
-      if (!rowMajor) return morton3(p);
+    // Row-major (x fastest): consecutive internal indices are x-consecutive
+    // sites, so the per-direction push destinations decompose into long
+    // unit-stride runs the store pass can retire as whole vectors (the
+    // propagation-optimised layout).
+    const auto rowMajorKey = [](const Vec3i& p) -> std::uint64_t {
       return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.z))
               << 42) |
              (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.y))
@@ -455,7 +402,7 @@ class Solver {
     for (std::size_t e = 0; e < n; ++e) {
       if (!isFrontier[e]) {
         bulk.emplace_back(
-            sortKey(lat.sitePosition(
+            rowMajorKey(lat.sitePosition(
                 domain_->globalOf(static_cast<std::uint32_t>(e)))),
             static_cast<std::uint32_t>(e));
       }
@@ -468,9 +415,11 @@ class Solver {
           static_cast<std::uint32_t>(l);
     }
 
-    // --- pull table (reference kernel) + halo needs, internal order ------
-    for (int i = 1; i < kQ; ++i) {
-      pull_[static_cast<std::size_t>(i)].assign(n, PullSrc{});
+    // --- halo needs (+ the reference pull table), internal order --------
+    if (reference) {
+      for (int i = 1; i < kQ; ++i) {
+        pull_[static_cast<std::size_t>(i)].assign(n, PullSrc{});
+      }
     }
     // needs[r] = packed (globalUpstream * 32 + i) values this rank pulls
     // from rank r, in deterministic internal (site, velocity) order.
@@ -490,14 +439,16 @@ class Solver {
         const int gd = set.geoDir[static_cast<std::size_t>(i)];
         const int upDir = geometry::oppositeDirection(gd);
         const auto upstream = lat.neighborId(g, upDir);
-        auto& src = pull_[static_cast<std::size_t>(i)][l];
+        PullSrc src;
         if (upstream >= 0) {
           const int owner =
               domain_->ownerOf(static_cast<std::uint64_t>(upstream));
           if (owner == domain_->rank()) {
             src.kind = PullKind::kLocal;
-            src.index = reorder_.internalOf[static_cast<std::size_t>(
-                domain_->localOf(static_cast<std::uint64_t>(upstream)))];
+            if (reference) {
+              src.index = reorder_.internalOf[static_cast<std::size_t>(
+                  domain_->localOf(static_cast<std::uint64_t>(upstream)))];
+            }
           } else {
             src.kind = PullKind::kRecv;
             auto& need = needs[static_cast<std::size_t>(owner)];
@@ -520,6 +471,7 @@ class Solver {
             src.index = link.ioletId;
           }
         }
+        if (reference) pull_[static_cast<std::size_t>(i)][l] = src;
       }
     }
 
@@ -535,7 +487,9 @@ class Solver {
     for (const auto& ref : recvRefs) {
       const std::uint32_t slot =
           recvOffset_[static_cast<std::size_t>(ref.owner)] + ref.pos;
-      pull_[static_cast<std::size_t>(ref.dir)][ref.site].index = slot;
+      if (reference) {
+        pull_[static_cast<std::size_t>(ref.dir)][ref.site].index = slot;
+      }
       recvDst_[slot] = {ref.site, ref.dir};
     }
     for (int r = 0; r < comm_->size(); ++r) {
@@ -576,18 +530,108 @@ class Solver {
     }
     sendFlat_.assign(sendTotal, 0.0);
 
-    buildFusedTables();
-    if (params_.kernel == LbParams::Kernel::kSimd) buildSimdRuns();
+    if (!reference) buildPushTables();
   }
 
-  /// Decompose the bulk push targets into unit-stride runs. For row-major
+  /// Push tables of the production kernel, derived from the same geometry/
+  /// ownership facts as the halo plans: every (site, direction) value
+  /// either pushes to a local downstream slot, fills a send slot, or folds
+  /// back into the site itself through a wall/iolet rule. Bulk sites keep
+  /// one destination per direction (push_). Frontier local pushes become
+  /// per-direction destination tables, the halfway-bounce-back wall folds
+  /// of the vectorised frontier range become per-direction wall flags
+  /// (dst plane = the incoming direction, dst index = the site itself, src
+  /// plane = the outgoing one: unit stride on both sides), and only the
+  /// iolet/halo-send actions — plus the walls of the scalar frontier tail
+  /// [nfVec, nf), which the strips never touch — stay in the short
+  /// boundary-only CSR.
+  void buildPushTables() {
+    const auto& lat = domain_->lattice();
+    const auto& set = Lattice::kSet;
+    const std::size_t n = domain_->numOwned();
+    const std::uint32_t nf = reorder_.numFrontier;
+    const std::uint32_t nfVec =
+        nf - nf % static_cast<std::uint32_t>(simd::kWidth);
+
+    // (internal site * 32 + dir) -> flat send slot.
+    std::unordered_map<std::uint64_t, std::uint32_t> sendSlotOf;
+    for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
+      const auto& plan = sendPlans_[p];
+      for (std::size_t k = 0; k < plan.entries.size(); ++k) {
+        const auto& e = plan.entries[k];
+        sendSlotOf.emplace(
+            static_cast<std::uint64_t>(e.local) * 32 + e.velocity,
+            static_cast<std::uint32_t>(sendFlatOffset_[p] + k));
+      }
+    }
+
+    std::array<std::vector<std::uint8_t>, kQ> wallAt;
+    for (int i = 1; i < kQ; ++i) {
+      push_[static_cast<std::size_t>(i)].assign(n - nf, 0);
+      frontierLocalDst_[static_cast<std::size_t>(i)].assign(nf, kNoDst);
+      wallAt[static_cast<std::size_t>(i)].assign(nfVec, 0);
+    }
+    frontierBoundaryStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
+    frontierBoundaryOps_.clear();
+
+    for (std::size_t l = 0; l < n; ++l) {
+      const std::uint64_t g = domain_->globalOf(reorder_.externalOf[l]);
+      for (int i = 1; i < kQ; ++i) {
+        const int gd = set.geoDir[static_cast<std::size_t>(i)];
+        const auto down = lat.neighborId(g, gd);
+        if (down >= 0 &&
+            domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
+                domain_->rank()) {
+          const std::uint32_t dest =
+              reorder_.internalOf[static_cast<std::size_t>(
+                  domain_->localOf(static_cast<std::uint64_t>(down)))];
+          if (l < nf) {
+            frontierLocalDst_[static_cast<std::size_t>(i)][l] = dest;
+          } else {
+            push_[static_cast<std::size_t>(i)][l - nf] = dest;
+          }
+          continue;
+        }
+        HEMO_CHECK_MSG(l < nf, "bulk site with non-local downstream " << g);
+        if (down >= 0) {
+          const auto it = sendSlotOf.find(static_cast<std::uint64_t>(l) * 32 +
+                                          static_cast<std::uint64_t>(i));
+          HEMO_CHECK_MSG(it != sendSlotOf.end(),
+                         "missing halo send slot for site " << g);
+          frontierBoundaryOps_.push_back(
+              {it->second, OpKind::kSend, static_cast<std::uint8_t>(i)});
+          continue;
+        }
+        // The outgoing population hits a wall/iolet and folds back into
+        // this site along the opposite (incoming) direction — the push
+        // form of the pull table's kWall/kIolet rules.
+        const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
+        const auto in = static_cast<std::uint8_t>(
+            set.opposite[static_cast<std::size_t>(i)]);
+        if (link.kind != geometry::LinkKind::kWall) {
+          frontierBoundaryOps_.push_back({link.ioletId, OpKind::kIolet, in});
+        } else if (l < nfVec) {
+          wallAt[static_cast<std::size_t>(in)][l] = 1;
+        } else {
+          frontierBoundaryOps_.push_back({0, OpKind::kWall, in});
+        }
+      }
+      if (l < nf) {
+        frontierBoundaryStart_[l + 1] =
+            static_cast<std::uint32_t>(frontierBoundaryOps_.size());
+      }
+    }
+    buildSimdRuns(wallAt);
+  }
+
+  /// Decompose the push targets into unit-stride runs. For row-major
   /// bulk ordering almost every destination advances in lockstep with the
   /// source (dst[k+1] == dst[k]+1 whenever two x-consecutive sites stream
   /// to two x-consecutive sites), so the streamed writes of the SIMD store
   /// pass become a handful of contiguous vector copies per strip instead
   /// of kQ scatter loops. Runs never cross strip boundaries — the store
   /// pass drains them strip by strip with one cursor per direction.
-  void buildSimdRuns() {
+  void buildSimdRuns(const std::array<std::vector<std::uint8_t>, kQ>& wallAt) {
     const std::uint32_t nf = reorder_.numFrontier;
     const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
@@ -606,7 +650,7 @@ class Solver {
       auto& runs = simdRuns_[static_cast<std::size_t>(i)];
       runs.clear();
       const std::uint32_t* dst =
-          push_[static_cast<std::size_t>(i)].data() + simdVecStart_;
+          push_[static_cast<std::size_t>(i)].data() + (simdVecStart_ - nf);
       for (std::uint32_t k = 0; k < simdVecSites_; ++k) {
         if (k % kBulkStrip == 0 || dst[k] != dst[k - 1] + 1) {
           runs.push_back({k, dst[k], 1});
@@ -638,41 +682,9 @@ class Solver {
       }
     };
     buildExtRuns(macroRunsBulk_, simdVecStart_, simdVecSites_);
-
-    // Frontier split for the SIMD path: local pushes become per-direction
-    // destination tables so the strips retire them without per-op
-    // dispatch, halfway-bounce-back wall folds (dst plane = op.dir, dst
-    // index = the site itself, src plane = the opposite direction — unit
-    // stride on both sides) become per-direction wall tables, and only
-    // the iolet/halo-send actions stay in a (much shorter) boundary-only
-    // CSR. The full CSR remains the scalar kernels' path. The vector
-    // tail [nfVec, nf) keeps everything in the CSR: it runs through the
-    // scalar processFrontierSite, which the strips never touch.
     const std::uint32_t nfVec = nf - nf % kW;
     buildExtRuns(macroRunsFrontier_, 0, nfVec);
-    std::array<std::vector<std::uint8_t>, kQ> wallAt;
-    for (int i = 1; i < kQ; ++i) {
-      frontierLocalDst_[static_cast<std::size_t>(i)].assign(nf, kNoDst);
-      wallAt[static_cast<std::size_t>(i)].assign(nf, 0);
-    }
-    frontierBoundaryStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
-    frontierBoundaryOps_.clear();
-    for (std::uint32_t l = 0; l < nf; ++l) {
-      for (std::uint32_t k = frontierOpStart_[l]; k < frontierOpStart_[l + 1];
-           ++k) {
-        const FrontierOp op = frontierOps_[k];
-        if (static_cast<OpKind>(op.kind) == OpKind::kPushLocal) {
-          frontierLocalDst_[static_cast<std::size_t>(op.dir)][l] = op.index;
-        } else if (static_cast<OpKind>(op.kind) == OpKind::kWall &&
-                   l < nfVec) {
-          wallAt[static_cast<std::size_t>(op.dir)][l] = 1;
-        } else {
-          frontierBoundaryOps_.push_back(op);
-        }
-      }
-      frontierBoundaryStart_[l + 1] =
-          static_cast<std::uint32_t>(frontierBoundaryOps_.size());
-    }
+
     for (int i = 1; i < kQ; ++i) {
       auto& runs = frontierWallRuns_[static_cast<std::size_t>(i)];
       runs.clear();
@@ -707,89 +719,6 @@ class Solver {
         } else {
           runs.push_back({k, dst[k], 1});
         }
-      }
-    }
-  }
-
-  /// Push tables for the fused kernel, derived from the same geometry/
-  /// ownership facts as the pull table: every (site, direction) value
-  /// either pushes to a local downstream slot, fills a send slot, or folds
-  /// back into the site itself through a wall/iolet rule.
-  void buildFusedTables() {
-    const auto& lat = domain_->lattice();
-    const auto& set = Lattice::kSet;
-    const std::size_t n = domain_->numOwned();
-    const std::uint32_t nf = reorder_.numFrontier;
-
-    // (internal site * 32 + dir) -> flat send slot.
-    std::unordered_map<std::uint64_t, std::uint32_t> sendSlotOf;
-    for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
-      const auto& plan = sendPlans_[p];
-      for (std::size_t k = 0; k < plan.entries.size(); ++k) {
-        const auto& e = plan.entries[k];
-        sendSlotOf.emplace(
-            static_cast<std::uint64_t>(e.local) * 32 + e.velocity,
-            static_cast<std::uint32_t>(sendFlatOffset_[p] + k));
-      }
-    }
-
-    frontierOpStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
-    frontierOps_.clear();
-    frontierOps_.reserve(static_cast<std::size_t>(nf) *
-                         static_cast<std::size_t>(kQ - 1));
-    for (int i = 1; i < kQ; ++i) {
-      push_[static_cast<std::size_t>(i)].assign(n, 0);
-    }
-
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::uint64_t g = domain_->globalOf(reorder_.externalOf[l]);
-      for (int i = 1; i < kQ; ++i) {
-        const int gd = set.geoDir[static_cast<std::size_t>(i)];
-        const auto down = lat.neighborId(g, gd);
-        if (down >= 0 &&
-            domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
-                domain_->rank()) {
-          const std::uint32_t dest =
-              reorder_.internalOf[static_cast<std::size_t>(
-                  domain_->localOf(static_cast<std::uint64_t>(down)))];
-          if (l < nf) {
-            frontierOps_.push_back({dest,
-                                    static_cast<std::uint8_t>(OpKind::kPushLocal),
-                                    static_cast<std::uint8_t>(i)});
-          } else {
-            push_[static_cast<std::size_t>(i)][l] = dest;
-          }
-          continue;
-        }
-        HEMO_CHECK_MSG(l < nf, "bulk site with non-local downstream " << g);
-        if (down >= 0) {
-          const auto it = sendSlotOf.find(static_cast<std::uint64_t>(l) * 32 +
-                                          static_cast<std::uint64_t>(i));
-          HEMO_CHECK_MSG(it != sendSlotOf.end(),
-                         "missing halo send slot for site " << g);
-          frontierOps_.push_back({it->second,
-                                  static_cast<std::uint8_t>(OpKind::kSend),
-                                  static_cast<std::uint8_t>(i)});
-        } else {
-          // The outgoing population hits a wall/iolet and folds back into
-          // this site along the opposite (incoming) direction — the push
-          // form of the pull table's kWall/kIolet rules.
-          const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
-          const auto in = static_cast<std::uint8_t>(
-              set.opposite[static_cast<std::size_t>(i)]);
-          if (link.kind == geometry::LinkKind::kWall) {
-            frontierOps_.push_back(
-                {0, static_cast<std::uint8_t>(OpKind::kWall), in});
-          } else {
-            frontierOps_.push_back({link.ioletId,
-                                    static_cast<std::uint8_t>(OpKind::kIolet),
-                                    in});
-          }
-        }
-      }
-      if (l + 1 <= nf) {
-        frontierOpStart_[l + 1] =
-            static_cast<std::uint32_t>(frontierOps_.size());
       }
     }
   }
@@ -947,12 +876,11 @@ class Solver {
     }
   }
 
-  // --- fused kernel ------------------------------------------------------
+  // --- production kernel -------------------------------------------------
 
-  /// Raw hot-loop pointers, hoisted once per step. Direction i of site l
-  /// is fsrc[i][l * S] where S is the layout's site stride (1 for SoA, kQ
-  /// for AoS) — the kernels carry S as a template parameter so the common
-  /// SoA case compiles to plain unit-stride pointers.
+  /// Raw hot-loop pointers, hoisted once per step: direction i of
+  /// internal site l is fsrc[i][l]; pdst[i] holds the push destinations of
+  /// the bulk sites, indexed from the first bulk site.
   struct SweepPtrs {
     const double* fsrc[kQ];
     double* fdst[kQ];
@@ -973,132 +901,30 @@ class Solver {
     return p;
   }
 
-  template <int S>
-  void stepFused() {
-    const CollisionCtx ctx = collisionCtx();
-    const SweepPtrs ptrs = sweepPtrs();
-    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
-    const std::uint32_t nf = reorder_.numFrontier;
-
-    // Frontier pass: collide every boundary-coupled site, apply its wall/
-    // iolet rules, push its local-destination populations, and drop its
-    // outgoing halo populations into the persistent send buffers.
-    {
-      ScopedPhase phase(collideTimer_);
-      HEMO_TSPAN(kCollide, "collide.frontier");
-      for (std::uint32_t l = 0; l < nf; ++l) {
-        processFrontierSite<S>(ctx, ptrs, l);
-      }
-    }
-    // Post all halo sends (buffered, never block).
-    {
-      ScopedPhase phase(commTimer_);
-      HEMO_TSPAN(kHaloSend, "halo.send");
-      comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
-      for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
-        comm_->sendBytes(sendPlans_[p].dest, kHaloTag,
-                         sendFlat_.data() + sendFlatOffset_[p],
-                         sendPlans_[p].entries.size() * sizeof(double));
-      }
-    }
-    // Bulk pass while the messages are in flight: branch-free fused
-    // collide+push over the Morton-sorted all-local sites. Sites are
-    // processed in blocks: each block is collided into an L1-resident
-    // buffer, then pushed direction-major so each fNext array is written
-    // in one near-sequential burst instead of kQ-way interleaved streams.
-    {
-      ScopedPhase phase(collideTimer_);
-      ScopedWallPhase overlap(overlapTimer_);
-      HEMO_TSPAN(kCollide, "collide.bulk");
-      double block[kBulkBlock * kQ];
-      for (std::uint32_t base = nf; base < n; base += kBulkBlock) {
-        const std::uint32_t count = std::min(kBulkBlock, n - base);
-        for (std::uint32_t k = 0; k < count; ++k) {
-          double* fl = block + k * kQ;
-          for (int i = 0; i < kQ; ++i) {
-            fl[i] = ptrs.fsrc[i][static_cast<std::size_t>(base + k) * S];
-          }
-          relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[base + k]));
-        }
-        {
-          double* out0 = ptrs.fdst[0];
-          for (std::uint32_t k = 0; k < count; ++k) {
-            out0[static_cast<std::size_t>(base + k) * S] = block[k * kQ];
-          }
-        }
-        for (int i = 1; i < kQ; ++i) {
-          const std::uint32_t* dst = ptrs.pdst[i] + base;
-          double* out = ptrs.fdst[i];
-          for (std::uint32_t k = 0; k < count; ++k) {
-            out[static_cast<std::size_t>(dst[k]) * S] =
-                block[k * kQ + static_cast<std::uint32_t>(i)];
-          }
-        }
-      }
-    }
-    // Receive and finish the frontier sites' incoming halo populations.
-    {
-      comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
-      for (const int r : recvRanks_) {
-        const auto off = recvOffset_[static_cast<std::size_t>(r)];
-        const auto count =
-            recvOffset_[static_cast<std::size_t>(r) + 1] - off;
-        {
-          ScopedPhase cphase(commTimer_);
-          ScopedWallPhase wait(recvWaitTimer_);
-          HEMO_TSPAN(kHaloRecvWait, "halo.recv");
-          comm_->recvInto(r, kHaloTag, recvFlat_.data() + off, count);
-        }
-        ScopedPhase sphase(streamTimer_);
-        HEMO_TSPAN(kStream, "stream.scatter");
-        for (std::uint32_t k = off; k < off + count; ++k) {
-          const RecvDst d = recvDst_[k];
-          ptrs.fdst[d.dir][static_cast<std::size_t>(d.dest) * S] =
-              recvFlat_[k];
-        }
-      }
-    }
-  }
-
-  template <int S>
-  void processFrontierSite(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                           std::uint32_t l) {
-    double fl[kQ];
-    for (int i = 0; i < kQ; ++i) {
-      fl[i] = ptrs.fsrc[i][static_cast<std::size_t>(l) * S];
-    }
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    relaxSite(ctx, fl, ext);
-    scatterFrontierOps<S>(ctx, ptrs, l, fl, 1);
-  }
-
-  /// Apply the CSR boundary/halo actions of frontier site l to its
-  /// post-collision populations fl[i * flStride] (flStride lets the SIMD
-  /// path scatter straight out of a direction-major strip buffer).
-  template <int S>
-  void scatterFrontierOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
+  /// Boundary actions (wall/iolet/halo-send) of frontier site l — the
+  /// local pushes are retired separately (direction-major from the strip,
+  /// or through frontierLocalDst_ on the scalar tail), so this walks the
+  /// short boundary-only CSR. `fl` holds the post-collision populations
+  /// at stride flStride (1, or the direction-major strip buffer's).
+  void scatterBoundaryOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
                           std::uint32_t l, const double* fl,
                           std::size_t flStride) {
+    const std::uint32_t begin = frontierBoundaryStart_[l];
+    const std::uint32_t end = frontierBoundaryStart_[l + 1];
+    if (begin == end) return;
     const auto& set = Lattice::kSet;
     const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    ptrs.fdst[0][static_cast<std::size_t>(l) * S] = fl[0];
-    const std::uint32_t begin = frontierOpStart_[l];
-    const std::uint32_t end = frontierOpStart_[l + 1];
     for (std::uint32_t k = begin; k < end; ++k) {
-      const FrontierOp op = frontierOps_[k];
+      const BoundaryOp op = frontierBoundaryOps_[k];
       const auto dir = static_cast<std::size_t>(op.dir);
-      switch (static_cast<OpKind>(op.kind)) {
-        case OpKind::kPushLocal:
-          ptrs.fdst[dir][static_cast<std::size_t>(op.index) * S] =
-              fl[dir * flStride];
-          break;
+      switch (op.kind) {
         case OpKind::kSend:
           ptrs.sendFlat[static_cast<std::size_t>(op.index)] =
               fl[dir * flStride];
           break;
         case OpKind::kWall:
           // Halfway bounce-back off the vessel wall.
-          ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
+          ptrs.fdst[dir][static_cast<std::size_t>(l)] =
               fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
           break;
         case OpKind::kIolet: {
@@ -1111,7 +937,7 @@ class Solver {
             // Ladd bounce-back off a "wall" moving at the prescribed
             // iolet velocity: injects the target momentum flux.
             const double rho = ctx.rhoOut[ext];
-            ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
+            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
                 bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
           } else {
             // Anti-bounce-back pressure boundary at the prescribed
@@ -1120,57 +946,6 @@ class Solver {
             const double rhoIo = ioletDensity_[id];
             const Vec3d u = ctx.uOut[ext];
             const double cu = c.dot(u);
-            ptrs.fdst[dir][static_cast<std::size_t>(l) * S] =
-                -bounce + 2.0 * w * rhoIo *
-                              (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  /// Boundary actions (wall/iolet/halo-send) of frontier site l in the
-  /// SIMD path — the local pushes were already retired direction-major
-  /// from the strip, so this walks the short boundary-only CSR. `fl`
-  /// holds the post-collision populations at stride flStride (the
-  /// direction-major strip buffer).
-  void scatterBoundaryOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                          std::uint32_t l, const double* fl,
-                          std::size_t flStride) {
-    const std::uint32_t begin = frontierBoundaryStart_[l];
-    const std::uint32_t end = frontierBoundaryStart_[l + 1];
-    if (begin == end) return;
-    const auto& set = Lattice::kSet;
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const FrontierOp op = frontierBoundaryOps_[k];
-      const auto dir = static_cast<std::size_t>(op.dir);
-      switch (static_cast<OpKind>(op.kind)) {
-        case OpKind::kPushLocal:
-          break;  // never present in the boundary-only CSR
-        case OpKind::kSend:
-          ptrs.sendFlat[static_cast<std::size_t>(op.index)] =
-              fl[dir * flStride];
-          break;
-        case OpKind::kWall:
-          ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          break;
-        case OpKind::kIolet: {
-          const auto id = static_cast<std::size_t>(op.index);
-          const Vec3d c = set.c[dir].template cast<double>();
-          const double w = set.w[dir];
-          const double bounce =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          if (ioletIsVelocityBc_[id]) {
-            const double rho = ctx.rhoOut[ext];
-            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-                bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
-          } else {
-            const double rhoIo = ioletDensity_[id];
-            const Vec3d u = ctx.uOut[ext];
-            const double cu = c.dot(u);
             ptrs.fdst[dir][static_cast<std::size_t>(l)] =
                 -bounce + 2.0 * w * rhoIo *
                               (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
@@ -1180,8 +955,6 @@ class Solver {
       }
     }
   }
-
-  // --- vectorised fused kernel (SoA layout only) -------------------------
 
   /// A maximal unit-stride stretch of strip writes: `len` consecutive
   /// source slots landing in `len` consecutive destination slots.
@@ -1190,6 +963,20 @@ class Solver {
     std::uint32_t dst;   ///< destination index of that first site
     std::uint32_t len;
   };
+
+  /// Retire this strip's share of one direction's runs: `src` is the
+  /// strip plane indexed by run-relative srcK, and each run is a single
+  /// sequential copy into `dst` (non-temporal when `nt` and the run spans
+  /// at least two vectors).
+  static void drainRuns(const std::vector<StreamRun>& runs, std::size_t& cur,
+                        double* dst, const double* src, std::uint32_t stripEnd,
+                        bool nt) {
+    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
+      const StreamRun r = runs[cur++];
+      simd::copyDoubles(dst + r.dst, src + r.srcK, r.len,
+                        nt && r.len >= 2 * simd::kWidth);
+    }
+  }
 
   /// Retire this strip's share of the macro-field runs: rho as straight
   /// copies, u re-interleaved to Vec3d — per run a single sequential
@@ -1217,11 +1004,11 @@ class Solver {
     }
   }
 
-  /// stepFused with both sweeps rewritten as SIMD strips: collision runs
+  /// The production step. Both sweeps run as SIMD strips: collision runs
   /// kBulkStrip sites at a time into a direction-major L2 buffer and the
   /// streamed writes retire as unit-stride runs, one direction at a time.
-  /// Frontier boundary actions (walls/iolets/halo sends) and the
-  /// sub-group tails keep the scalar path (branchy minority).
+  /// Frontier boundary actions (iolets/halo sends) and the sub-group
+  /// tails keep the scalar path (branchy minority).
   void stepSimd() {
     const CollisionCtx ctx = collisionCtx();
     const SweepPtrs ptrs = sweepPtrs();
@@ -1254,34 +1041,17 @@ class Solver {
         // lanes — the boundary ops — sit in the gaps between runs).
         const std::uint32_t stripEnd = base + cnt;
         for (int i = 1; i < kQ; ++i) {
-          const auto& runs = frontierRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = runCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip + static_cast<std::size_t>(i) * kBulkStrip - base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              false);
-            ++cur;
-          }
+          const auto d = static_cast<std::size_t>(i);
+          drainRuns(frontierRuns_[d], runCursor_[d], ptrs.fdst[i],
+                    strip + d * kBulkStrip - base, stripEnd, false);
         }
         // Wall folds: fdst[i][l] = post-collision opposite(i) population
         // of site l — unit stride on both sides, drained the same way.
         for (int i = 1; i < kQ; ++i) {
-          const auto& runs = frontierWallRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = wallCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip +
-              static_cast<std::size_t>(
-                  Lattice::kSet.opposite[static_cast<std::size_t>(i)]) *
-                  kBulkStrip -
-              base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              false);
-            ++cur;
-          }
+          const auto d = static_cast<std::size_t>(i);
+          const auto opp = static_cast<std::size_t>(Lattice::kSet.opposite[d]);
+          drainRuns(frontierWallRuns_[d], wallCursor_[d], ptrs.fdst[i],
+                    strip + opp * kBulkStrip - base, stripEnd, false);
         }
         // Boundary CSR (iolets/halo sends only): most strips of a large
         // domain have an empty range — the offsets are monotone, so one
@@ -1292,8 +1062,19 @@ class Solver {
           }
         }
       }
+      // Sub-group tail: scalar collide, local pushes through the dst
+      // tables, everything else through the boundary-only CSR.
       for (std::uint32_t l = nfVec; l < nf; ++l) {
-        processFrontierSite<1>(ctx, ptrs, l);
+        double fl[kQ];
+        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
+        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
+        ptrs.fdst[0][l] = fl[0];
+        for (int i = 1; i < kQ; ++i) {
+          const std::uint32_t d =
+              frontierLocalDst_[static_cast<std::size_t>(i)][l];
+          if (d != kNoDst) ptrs.fdst[i][d] = fl[i];
+        }
+        scatterBoundaryOps(ctx, ptrs, l, fl, 1);
       }
     }
     {
@@ -1310,16 +1091,18 @@ class Solver {
       ScopedPhase phase(collideTimer_);
       ScopedWallPhase overlap(overlapTimer_);
       HEMO_TSPAN(kCollide, "collide.simd");
-      // Head: bulk sites before the aligned vector start (scalar push).
-      for (std::uint32_t l = nf; l < simdVecStart_; ++l) {
+      // Bulk sites outside the vector groups: scalar collide + push.
+      const auto pushBulkSite = [&](std::uint32_t l) {
         double fl[kQ];
         for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
         relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
         ptrs.fdst[0][l] = fl[0];
         for (int i = 1; i < kQ; ++i) {
-          ptrs.fdst[i][ptrs.pdst[i][l]] = fl[i];
+          ptrs.fdst[i][ptrs.pdst[i][l - nf]] = fl[i];
         }
-      }
+      };
+      // Head: bulk sites before the aligned vector start.
+      for (std::uint32_t l = nf; l < simdVecStart_; ++l) pushBulkSite(l);
       // Aligned bulk: collide whole strips into the direction-major
       // buffer, then retire each direction's unit-stride runs one stream
       // at a time. Interleaving the 19 write streams store-by-store
@@ -1342,27 +1125,14 @@ class Solver {
         // Moving populations: drain this strip's unit-stride runs.
         const std::uint32_t stripEnd = base + cnt;
         for (int i = 1; i < kQ; ++i) {
-          const auto& runs = simdRuns_[static_cast<std::size_t>(i)];
-          std::size_t& cur = runCursor_[static_cast<std::size_t>(i)];
-          const double* src =
-              strip + static_cast<std::size_t>(i) * kBulkStrip - base;
-          while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-            const StreamRun r = runs[cur];
-            simd::copyDoubles(ptrs.fdst[i] + r.dst, src + r.srcK, r.len,
-                              useNt_ && r.len >= 2 * simd::kWidth);
-            ++cur;
-          }
+          const auto d = static_cast<std::size_t>(i);
+          drainRuns(simdRuns_[d], runCursor_[d], ptrs.fdst[i],
+                    strip + d * kBulkStrip - base, stripEnd, useNt_);
         }
       }
-      // Sub-group tail: scalar fused push (bulk sites are all-local).
+      // Sub-group tail.
       for (std::uint32_t l = simdVecStart_ + simdVecSites_; l < n; ++l) {
-        double fl[kQ];
-        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
-        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
-        ptrs.fdst[0][l] = fl[0];
-        for (int i = 1; i < kQ; ++i) {
-          ptrs.fdst[i][ptrs.pdst[i][l]] = fl[i];
-        }
+        pushBulkSite(l);
       }
       if (useNt_) simd::storeFence();
     }
@@ -1401,9 +1171,9 @@ class Solver {
   /// Collide simd::kWidth consecutive sites starting at s0 (SoA planes,
   /// unit stride, s0 a multiple of simd::kWidth so every plane load is an
   /// aligned full vector) into g. Per lane the arithmetic replicates
-  /// relaxSite() operation for operation, so the trajectories of kSimd
-  /// and kFused agree to round-off (the paired equivalence tests hold
-  /// 1e-12 over 100 steps). Stress/forcing are hoisted to template
+  /// relaxSite() operation for operation, so vector and scalar sites agree
+  /// to round-off (FMA contraction is the only difference) and the kernel
+  /// tracks the reference oracle to 1e-12 over 100 steps. Stress/forcing are hoisted to template
   /// parameters — with 19 live population vectors the register file is
   /// full, and per-direction runtime branches are measurable.
   void collideGroupSimd(const CollisionCtx& ctx, const SweepPtrs& ptrs,
@@ -1621,9 +1391,8 @@ class Solver {
   }
 
   // --- reference three-phase kernel --------------------------------------
-  // The pre-fusion hot path, preserved as the performance and correctness
-  // baseline: Vec3-based collision arithmetic exactly as the original
-  // collide() computed it, blocking halo exchange, then a pull-stream.
+  // The test oracle: Vec3-based collision arithmetic, blocking halo
+  // exchange, then a pull-stream over the pull table.
 
   void relaxSiteReference(const CollisionCtx& ctx, double* fl,
                           std::size_t ext) {
@@ -1697,7 +1466,6 @@ class Solver {
     }
   }
 
-  template <int S>
   void collide() {
     ScopedPhase phase(collideTimer_);
     HEMO_TSPAN(kCollide, "collide");
@@ -1707,14 +1475,13 @@ class Solver {
     for (int i = 0; i < kQ; ++i) base[i] = f_.dirBase(i);
     for (std::size_t l = 0; l < n; ++l) {
       double fl[kQ];
-      for (int i = 0; i < kQ; ++i) fl[i] = base[i][l * S];
+      for (int i = 0; i < kQ; ++i) fl[i] = base[i][l];
       relaxSiteReference(ctx, fl,
                          static_cast<std::size_t>(reorder_.externalOf[l]));
-      for (int i = 0; i < kQ; ++i) base[i][l * S] = fl[i];
+      for (int i = 0; i < kQ; ++i) base[i][l] = fl[i];
     }
   }
 
-  template <int S>
   void exchange() {
     ScopedPhase phase(commTimer_);
     HEMO_TSPAN(kHaloSend, "halo.exchange");
@@ -1724,8 +1491,7 @@ class Solver {
       double* buf = sendFlat_.data() + sendFlatOffset_[p];
       for (std::size_t k = 0; k < plan.entries.size(); ++k) {
         const auto& e = plan.entries[k];
-        buf[k] =
-            f_.dirBase(e.velocity)[static_cast<std::size_t>(e.local) * S];
+        buf[k] = f_.dirBase(e.velocity)[e.local];
       }
       comm_->sendBytes(plan.dest, kHaloTag, buf,
                        plan.entries.size() * sizeof(double));
@@ -1737,7 +1503,6 @@ class Solver {
     }
   }
 
-  template <int S>
   void stream() {
     ScopedPhase phase(streamTimer_);
     HEMO_TSPAN(kStream, "stream");
@@ -1747,7 +1512,7 @@ class Solver {
     {
       const double* src = f_.dirBase(0);
       double* out = fNext_.dirBase(0);
-      for (std::size_t l = 0; l < n; ++l) out[l * S] = src[l * S];
+      for (std::size_t l = 0; l < n; ++l) out[l] = src[l];
     }
     for (int i = 1; i < kQ; ++i) {
       const int opp = set.opposite[static_cast<std::size_t>(i)];
@@ -1759,14 +1524,14 @@ class Solver {
         const PullSrc s = srcs[l];
         switch (s.kind) {
           case PullKind::kLocal:
-            out[l * S] = local[static_cast<std::size_t>(s.index) * S];
+            out[l] = local[s.index];
             break;
           case PullKind::kRecv:
-            out[l * S] = recvFlat_[static_cast<std::size_t>(s.index)];
+            out[l] = recvFlat_[static_cast<std::size_t>(s.index)];
             break;
           case PullKind::kWall:
             // Halfway bounce-back off the vessel wall.
-            out[l * S] = bounce[l * S];
+            out[l] = bounce[l];
             break;
           case PullKind::kIolet: {
             const auto id = static_cast<std::size_t>(s.index);
@@ -1778,8 +1543,7 @@ class Solver {
               // Ladd bounce-back off a "wall" moving at the prescribed
               // iolet velocity: injects the target momentum flux.
               const double rho = macro_.rho[ext];
-              out[l * S] = bounce[l * S] +
-                           6.0 * w * rho * c.dot(ioletVelocity_[id]);
+              out[l] = bounce[l] + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
             } else {
               // Anti-bounce-back pressure boundary at the prescribed
               // density, using the site's own velocity as the boundary
@@ -1787,9 +1551,8 @@ class Solver {
               const double rhoIo = ioletDensity_[id];
               const Vec3d u = macro_.u[ext];
               const double cu = c.dot(u);
-              out[l * S] = -bounce[l * S] +
-                           2.0 * w * rhoIo *
-                               (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
+              out[l] = -bounce[l] + 2.0 * w * rhoIo *
+                                        (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
             }
             break;
           }
@@ -1836,8 +1599,7 @@ class Solver {
 
   SiteReordering reorder_;
 
-  /// Distributions in internal (frontier-first) site order, behind the
-  /// layout-agnostic DistField (SoA planes or AoS records).
+  /// Distributions in internal (frontier-first) site order, SoA planes.
   DistField<kQ> f_;
   DistField<kQ> fNext_;
   /// Unit-stride push-destination runs of the SIMD bulk sweep: within each
@@ -1848,14 +1610,14 @@ class Solver {
   std::uint32_t simdVecStart_ = 0;  ///< first (kWidth-aligned) vector site
   std::uint32_t simdVecSites_ = 0;  ///< bulk sites covered by vector groups
   simd::AVector<double> bulkStrip_;  ///< direction-major bulk store strip
-  bool useNt_ = false;               ///< resolved NtStores policy
+  bool useNt_ = false;  ///< streamed writes use non-temporal stores
   /// SIMD frontier split: per direction, the local push destination of
   /// each frontier site (kNoDst when that lane is a boundary op), plus
   /// the boundary-only CSR the per-op dispatch shrinks to.
   static constexpr std::uint32_t kNoDst = 0xFFFFFFFFu;
   std::array<std::vector<std::uint32_t>, kQ> frontierLocalDst_;
   std::vector<std::uint32_t> frontierBoundaryStart_;
-  std::vector<FrontierOp> frontierBoundaryOps_;
+  std::vector<BoundaryOp> frontierBoundaryOps_;
   /// Unit-stride runs over frontierLocalDst_ (same shape as simdRuns_),
   /// plus the wall-fold runs (srcK == dst: the site folds into itself)
   /// and their per-direction drain cursors.
@@ -1866,13 +1628,11 @@ class Solver {
   std::vector<StreamRun> macroRunsFrontier_;
   std::vector<StreamRun> macroRunsBulk_;
   std::size_t macroCursor_ = 0;
-  /// Pull table (reference kernel), internal order.
+  /// Pull table, internal order (built only for the reference kernel).
   std::array<std::vector<PullSrc>, kQ> pull_;
-  /// Local push targets per direction (fused kernel, bulk range only).
+  /// Local push targets per direction of the bulk sites, indexed from the
+  /// first bulk site (production kernel).
   std::array<std::vector<std::uint32_t>, kQ> push_;
-  /// Fused boundary/halo actions of the frontier sites (CSR).
-  std::vector<std::uint32_t> frontierOpStart_;
-  std::vector<FrontierOp> frontierOps_;
 
   std::vector<SendPlan> sendPlans_;
   /// Persistent flat send storage; plan p owns [sendFlatOffset_[p], ...).
@@ -1881,7 +1641,7 @@ class Solver {
   std::vector<int> recvRanks_;
   std::vector<std::uint32_t> recvOffset_;
   std::vector<double> recvFlat_;
-  /// fNext destination of each flat receive slot (fused kernel scatter).
+  /// fNext destination of each flat receive slot (production kernel).
   std::vector<RecvDst> recvDst_;
 
   /// Macroscopic fields in external (DomainMap) site order.

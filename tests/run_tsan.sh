@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build the LB solver tests under ThreadSanitizer and run them.
 #
-# The comm runtime simulates ranks as threads, so the solver's fused
+# The comm runtime simulates ranks as threads, so the solver's halo
 # overlap path (send buffers filled by the frontier pass, bulk compute
 # racing in-flight messages, receives scattered into fNext), the
 # telemetry SPSC trace ring (rank thread producing, driver/test draining),

@@ -130,12 +130,14 @@ TEST(PointToPoint, TryRecvAndProbe) {
     if (comm.rank() == 0) {
       std::vector<std::byte> payload;
       EXPECT_FALSE(comm.tryRecvBytes(1, 4, payload));
-      comm.barrier();  // rank 1 sends before the barrier
-      // After the barrier the message is guaranteed queued.
+      comm.barrier();  // rank 1 sends only after this barrier
+      comm.barrier();  // ... and before this one
+      // After the second barrier the message is guaranteed queued.
       EXPECT_TRUE(comm.probe(1, 4));
       ASSERT_TRUE(comm.tryRecvBytes(1, 4, payload));
       EXPECT_EQ(payload.size(), sizeof(int));
     } else {
+      comm.barrier();
       comm.send(0, 4, 123);
       comm.barrier();
     }

@@ -526,55 +526,6 @@ TEST(Solver, RejectsUnstableTau) {
                CheckError);
 }
 
-// --- layout gather/scatter ----------------------------------------------------
-
-TEST(Layout, SoaAosRoundTripIsBitExact) {
-  // Property: the layout-agnostic gather/scatter accessors are exact
-  // inverses across layouts. Evolve a non-trivial state under SoA, pipe
-  // every distribution through an AoS solver and back; every double must
-  // survive both hops unchanged.
-  const auto lattice = poiseuilleTube(0.25);
-  const auto graph = partition::buildSiteGraph(lattice);
-  partition::SfcPartitioner sfc;
-  const auto part = sfc.partition(graph, 1);
-  LbParams params;
-  params.tau = 0.8;
-  params.bodyForce = {1e-5, 0, 0};
-
-  comm::Runtime rt(1);
-  rt.run([&](comm::Communicator& comm) {
-    DomainMap domain(lattice, part, 0);
-    params.layout = Layout::kSoA;
-    SolverD3Q19 soa(domain, comm, params);
-    soa.initWith([](const Vec3d& w) {
-      return std::pair{1.0 + 0.01 * w.x, Vec3d{0.003 * w.y, 0.0, 0.002 * w.z}};
-    });
-    soa.run(7);
-
-    params.layout = Layout::kAoS;
-    SolverD3Q19 aos(domain, comm, params);
-    params.layout = Layout::kSoA;
-    SolverD3Q19 back(domain, comm, params);
-    for (int i = 0; i < D3Q19::kQ; ++i) {
-      aos.setDistribution(i, soa.distribution(i));
-    }
-    for (int i = 0; i < D3Q19::kQ; ++i) {
-      back.setDistribution(i, aos.distribution(i));
-    }
-    for (int i = 0; i < D3Q19::kQ; ++i) {
-      const auto orig = soa.distribution(i);
-      EXPECT_EQ(aos.distribution(i), orig) << "direction " << i;
-      EXPECT_EQ(back.distribution(i), orig) << "direction " << i;
-    }
-    // refreshMacros() over identical values is layout-invariant bit for
-    // bit (soa's own cache holds the pre-collision moments of the last
-    // step, so the comparison is between the two refreshed solvers).
-    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-      EXPECT_EQ(aos.macro().rho[l], back.macro().rho[l]);
-    }
-  });
-}
-
 // --- checkpoint/restart --------------------------------------------------------------
 
 TEST(Checkpoint, RestartReproducesRunEvenAcrossPartitions) {

@@ -649,8 +649,8 @@ TEST(PhaseTimerGuard, MisuseThrowsAndRunningReports) {
 // --- overhead guard --------------------------------------------------------------
 
 #ifndef HEMO_TELEMETRY_DISABLED
-double fusedMlups(const geometry::SparseLattice& lattice,
-                  const partition::Partition& part, bool traceOn, int steps) {
+double kernelMlups(const geometry::SparseLattice& lattice,
+                   const partition::Partition& part, bool traceOn, int steps) {
   double busy = 0.0;
   comm::Runtime rt(1);
   rt.telemetry(0).tracer().setEnabled(traceOn);
@@ -697,8 +697,8 @@ TEST(Telemetry, HotLoopOverheadStaysWithinBudget) {
   for (int attempt = 0; attempt < 4; ++attempt) {
     double on[3] = {}, off[3] = {};
     for (int trial = 0; trial < 3; ++trial) {
-      off[trial] = fusedMlups(lattice, part, false, steps);
-      on[trial] = fusedMlups(lattice, part, true, steps);
+      off[trial] = kernelMlups(lattice, part, false, steps);
+      on[trial] = kernelMlups(lattice, part, true, steps);
     }
     const double offMedian = medianOf3(off[0], off[1], off[2]);
     const double onMedian = medianOf3(on[0], on[1], on[2]);
