@@ -46,9 +46,7 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
   if (comm.rank() == 0) {
     HEMO_LOG_INFO() << "lb hot path: kernel=" << config.lb.kernelName()
                     << " simd=" << simd::backendName() << " width="
-                    << simd::kWidth
-                    << (solver_->usesNtStores() ? " nt-stores=on"
-                                                : " nt-stores=off");
+                    << simd::kWidth;
   }
 
   // Resolve the per-rank metrics once (map nodes are stable, so the hot

@@ -107,7 +107,9 @@ class Reader {
 
   void getRaw(void* out, std::size_t n) {
     HEMO_CHECK_MSG(remaining() >= n, "serial underrun (raw)");
-    std::memcpy(out, data_ + pos_, n);
+    // memcpy's pointers must be non-null even for n == 0 (an empty
+    // column's data() may be null).
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
 

@@ -340,9 +340,7 @@ RestoreResult restoreFromBuddy(BuddyStore& store, Solver<Lattice>& solver,
     return RestoreResult{CkptStatus::kGeometryMismatch, bestStep,
                          "buddy sites do not cover the partition"};
   }
-  for (int i = 0; i < kQ; ++i) {
-    solver.setDistribution(i, f[static_cast<std::size_t>(i)]);
-  }
+  solver.setDistributions(f);
   solver.setStepsDone(bestStep);
   if (auto* t = telemetry::threadTelemetry()) {
     t->metrics().counter("buddy.restores").add(1);

@@ -555,9 +555,7 @@ RestoreResult readCheckpoint(const std::string& path, Solver<Lattice>& solver,
     return RestoreResult{CkptStatus::kGeometryMismatch, step,
                          "restored sites do not cover the partition"};
   }
-  for (int i = 0; i < kQ; ++i) {
-    solver.setDistribution(i, f[static_cast<std::size_t>(i)]);
-  }
+  solver.setDistributions(f);
   solver.setStepsDone(step);
   return RestoreResult{CkptStatus::kOk, step, {}};
 }

@@ -53,7 +53,8 @@ class DistField {
     for (std::size_t l = 0; l < n_; ++l) base[l] = v;
   }
 
-  /// O(1): swap the slabs (the per-step f/fNext flip).
+  /// O(1): swap the slabs (the reference kernel's per-step f/fNext flip;
+  /// the production kernel streams in place in one slab).
   void swapWith(DistField& o) {
     HEMO_CHECK(n_ == o.n_);
     std::swap(pitch_, o.pitch_);

@@ -7,47 +7,56 @@
 /// pressure inlets/outlets, Guo forcing, and per-step halo exchange of the
 /// distribution values that stream across rank boundaries.
 ///
-/// Distributions live in structure-of-arrays planes (lb/layout.hpp), one
-/// aligned, padded plane per velocity direction. Every public surface
-/// (checkpointing, observables, vis extraction) goes through gather/
-/// scatter accessors in external (DomainMap) site order.
+/// Distributions live in one slab of structure-of-arrays planes
+/// (lb/layout.hpp), one aligned, padded plane per velocity direction.
+/// Every public surface (checkpointing, observables, vis extraction) goes
+/// through gather/scatter accessors in external (DomainMap) site order.
 ///
 /// One production kernel drives the hot path, plus a test oracle
 /// (LbParams::kernel):
 ///
-/// * **kSimd** (default): one pass per site fuses collision and streaming.
-///   Owned sites are internally reordered frontier-first (SiteReordering):
-///   the frontier pass collides every site whose update touches a rank
-///   boundary, wall or iolet, applies the local boundary rules and drops
-///   the outgoing halo populations straight into persistent send buffers;
-///   the halo messages are then posted and the bulk sites are processed
-///   *while the messages are in flight*; finally the receives are drained
-///   directly into the frontier sites' fNext slots. Both passes run as
-///   cache-blocked, branch-free SIMD strips over the SoA planes
-///   (util/simd.hpp: AVX-512/AVX2 intrinsics with a scalar fallback). Bulk
-///   sites are sorted row-major (x fastest), so the per-direction push
-///   destinations decompose into long unit-stride runs (the
-///   propagation-optimised layout of Wittmann et al.); the streamed writes
-///   retire through non-temporal stores once the working set outgrows the
-///   last-level cache. Only iolet rules and halo sends stay on a per-op
-///   scalar path.
+/// * **kSimd** (default): AA-pattern in-place streaming (Bailey et al.;
+///   Wittmann, Zeiser, Hager & Wellein) over the single slab, so a step
+///   reads and writes each population once and never touches a second
+///   slab. Steps alternate between two types, selected by a solver-owned
+///   parity flag:
+///   - *even* steps collide every site purely locally: aligned full-vector
+///     loads from plane i, post-collision direction i stored into plane
+///     opp(i) of the same site;
+///   - *odd* steps gather each site's populations from its neighbours'
+///     slots (plane opp(i) at the upstream site), collide, and scatter the
+///     results back to the very slots they came from (plane i at the
+///     downstream site), which leaves the slab in canonical f_i(x) order.
+///   Owned sites are internally reordered frontier-first (SiteReordering).
+///   Every step is self-contained: the frontier (sites touching a rank
+///   boundary, wall or iolet) is swept first, its outgoing halo values are
+///   packed and sent, the bulk is swept *while the messages are in
+///   flight*, and the receives land in the slab before step() returns.
+///   Walls, iolets and remote neighbours all use the site's own slot
+///   (plane opp(i) of the site for outgoing direction i), so boundary
+///   handling is the same at both parities. The odd sweep runs as
+///   cache-blocked SIMD strips: per-direction unit-stride runs (row-major
+///   bulk order, the propagation-optimised layout) are copied into an L2
+///   strip, collided there, and copied back (util/simd.hpp: AVX-512/AVX2
+///   intrinsics with a scalar fallback). Every site goes through the same
+///   vector collide, so the per-site arithmetic does not depend on parity
+///   or position.
 /// * **kReference**: the textbook three-phase collide -> blocking exchange
-///   -> pull-stream, kept only as the oracle of the equivalence tests.
+///   -> pull-stream over two slabs, kept only as the oracle of the
+///   equivalence tests.
 ///
-/// Streaming uses f_i(x, t+1) = f*_i(x - c_i, t); the production kernel
-/// realises it as a push from the collided site, the reference kernel as
-/// a pull at the destination. The per-site arithmetic is the same update
-/// to round-off, so the trajectories agree to ~1e-12 over hundreds of
-/// steps.
+/// Macroscopic fields (rho, u, stress) are stored as internal-order SoA
+/// planes written straight from the collide registers; macro() gathers an
+/// external-order view the first time it is read after a step.
+///
+/// Streaming uses f_i(x, t+1) = f*_i(x - c_i, t). The per-site arithmetic
+/// of both kernels is the same update to round-off, so the trajectories
+/// agree to ~1e-12 over hundreds of steps.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
-
-#if defined(__linux__)
-#include <unistd.h>
-#endif
 
 #include "comm/communicator.hpp"
 #include "lb/domain_map.hpp"
@@ -72,7 +81,7 @@ struct LbParams {
   Vec3d bodyForce{0, 0, 0};
   /// Also accumulate the deviatoric stress tensor during collision.
   bool computeStress = false;
-  /// Hot-path kernel: kSimd is the production collide+stream sweep,
+  /// Hot-path kernel: kSimd is the production AA-pattern sweep,
   /// kReference the three-phase oracle the equivalence tests compare with.
   enum class Kernel { kSimd, kReference } kernel = Kernel::kSimd;
 
@@ -88,46 +97,42 @@ template <typename Lattice>
 class Solver {
  public:
   static constexpr int kQ = Lattice::kQ;
-  /// Sites per SIMD store strip (frontier and bulk passes share the one
-  /// strip buffer). Sized so the per-direction drain writes long
-  /// sequential bursts (the buffer, ~150 KB for D3Q19, spills to L2 —
-  /// collision is compute-bound enough that the extra L1 misses are
-  /// noise, while short write bursts measurably defeat the core's
-  /// write-combining).
+  /// Sites per SIMD strip of the odd sweep. Sized so the per-direction
+  /// gathers and drains are long sequential bursts (the buffer, ~150 KB
+  /// for D3Q19, spills to L2 — collision is compute-bound enough that the
+  /// extra L1 misses are noise).
   static constexpr std::uint32_t kBulkStrip = 1024;
   static_assert(kBulkStrip % simd::kWidth == 0);
-  /// NT-store fallback threshold when the LLC size is unknown: stream
-  /// past the cache only when f + fNext exceed this (smaller lattices
-  /// rehit the lines next step).
-  static constexpr std::size_t kNtAutoBytes = std::size_t{16} << 20;
-
-  /// NT-store threshold: the last-level cache size when the OS reports
-  /// it, else kNtAutoBytes. Non-temporal stores only pay once the slabs
-  /// cannot stay LLC-resident between steps — streaming an LLC-resident
-  /// working set to DRAM was measured ~20% slower.
-  static std::size_t ntAutoThresholdBytes() {
-#if defined(__linux__) && defined(_SC_LEVEL3_CACHE_SIZE)
-    const long l3 = ::sysconf(_SC_LEVEL3_CACHE_SIZE);
-    if (l3 > 0) return static_cast<std::size_t>(l3);
-#endif
-    return kNtAutoBytes;
-  }
 
   Solver(const DomainMap& domain, comm::Communicator& comm,
          const LbParams& params)
       : domain_(&domain), comm_(&comm), params_(params) {
     HEMO_CHECK_MSG(params.tau > 0.5, "tau must exceed 0.5 for stability");
-    f_.init(domain.numOwned());
-    fNext_.init(domain.numOwned());
-    const std::size_t distBytes =
-        2 * domain.numOwned() * static_cast<std::size_t>(kQ) * sizeof(double);
-    useNt_ = distBytes > ntAutoThresholdBytes();
+    const std::size_t n = domain.numOwned();
+    f_.init(n);
+    if (params_.kernel == LbParams::Kernel::kReference) fNext_.init(n);
     for (const auto& io : domain.lattice().iolets()) {
       ioletDensity_.push_back(io.density);
       ioletVelocity_.push_back(io.normal.normalized() * io.speed);
       ioletIsVelocityBc_.push_back(io.bc == geometry::Iolet::Bc::kVelocity);
     }
     buildTables();
+    // One vector group of overhang: the last group of a sweep writes its
+    // moments as whole vectors.
+    constexpr auto kW = static_cast<std::size_t>(simd::kWidth);
+    macroPitch_ = (n + kW - 1) / kW * kW + kW;
+    macroPlanes_.assign(
+        macroPitch_ * static_cast<std::size_t>(params_.computeStress
+                                                    ? kMacroPlanesStress
+                                                    : kMacroPlanes),
+        0.0);
+    // Strip lanes past the end of a sweep are collided too (their results
+    // are dropped): seed them with the rest state so they stay finite.
+    strip_.assign(static_cast<std::size_t>(kQ) * kBulkStrip, 0.0);
+    for (int i = 0; i < kQ; ++i) {
+      std::fill_n(strip_.data() + static_cast<std::size_t>(i) * kBulkStrip,
+                  kBulkStrip, Lattice::kSet.w[static_cast<std::size_t>(i)]);
+    }
     initEquilibrium(1.0, Vec3d{0, 0, 0});
   }
 
@@ -138,8 +143,11 @@ class Solver {
   /// Vector lanes of the SIMD backend this binary was built with (the
   /// kernels see it via util/simd.hpp; reported in benches/telemetry).
   static constexpr int simdWidth() { return simd::kWidth; }
-  /// Whether the SIMD kernel retires streamed writes via NT stores here.
-  bool usesNtStores() const { return useNt_; }
+
+  /// True when the slab holds the AA layout left by an even step, i.e. the
+  /// next step() is an odd step. Always false on the reference kernel.
+  /// Independent of stepsDone(): a restore resets it to even.
+  bool oddParity() const { return odd_; }
 
   /// Rebase the step counter (checkpoint restore): the restored run then
   /// reports the same stepsDone() as the writing run did.
@@ -178,14 +186,18 @@ class Solver {
 
   /// Reset all distributions to equilibrium at (rho, u).
   void initEquilibrium(double rho, const Vec3d& u) {
-    const std::size_t n = domain_->numOwned();
-    for (int i = 0; i < kQ; ++i) {
-      f_.fill(i, equilibrium<Lattice>(i, rho, u));
-      fNext_.fill(i, 0.0);
+    for (int i = 0; i < kQ; ++i) f_.fill(i, equilibrium<Lattice>(i, rho, u));
+    odd_ = false;
+    std::fill_n(macroPlane(kRho), macroPitch_, rho);
+    std::fill_n(macroPlane(kUx), macroPitch_, u.x);
+    std::fill_n(macroPlane(kUy), macroPitch_, u.y);
+    std::fill_n(macroPlane(kUz), macroPitch_, u.z);
+    if (params_.computeStress) {
+      for (int c = 0; c < 6; ++c) {
+        std::fill_n(macroPlane(kStress + c), macroPitch_, 0.0);
+      }
     }
-    macro_.rho.assign(n, rho);
-    macro_.u.assign(n, u);
-    if (params_.computeStress) macro_.stress.assign(n, SymTensor3{});
+    macroViewStale_ = true;
   }
 
   /// Initialise every owned site to the equilibrium of (rho, u) returned by
@@ -201,9 +213,13 @@ class Solver {
       for (int i = 0; i < kQ; ++i) {
         f_.at(i, l) = equilibrium<Lattice>(i, rho, u);
       }
-      macro_.rho[e] = rho;
-      macro_.u[e] = u;
+      macroPlane(kRho)[l] = rho;
+      macroPlane(kUx)[l] = u.x;
+      macroPlane(kUy)[l] = u.y;
+      macroPlane(kUz)[l] = u.z;
     }
+    odd_ = false;
+    macroViewStale_ = true;
   }
 
   /// One full LB update.
@@ -220,10 +236,12 @@ class Solver {
       collide();
       exchange();
       stream();
+      f_.swapWith(fNext_);
     } else {
-      stepSimd();
+      stepAA();
+      odd_ = !odd_;
     }
-    f_.swapWith(fNext_);
+    macroViewStale_ = true;
     ++stepsDone_;
   }
 
@@ -232,28 +250,33 @@ class Solver {
   }
 
   /// Macroscopic moments at time of the last collide (pre-collision),
-  /// in external (DomainMap) site order.
-  const MacroFields& macro() const { return macro_; }
+  /// in external (DomainMap) site order. The view is gathered from the
+  /// internal-order planes on the first read after a step, so a reference
+  /// held across step() must be re-fetched through macro(), and (like
+  /// step()) it is called from the owning rank's thread only.
+  const MacroFields& macro() const {
+    if (macroViewStale_) gatherMacroView();
+    return macroView_;
+  }
 
   /// Mass on this rank (sum of cached densities).
   double localMass() const {
     double m = 0.0;
-    for (const double r : macro_.rho) m += r;
+    for (const double r : macro().rho) m += r;
     return m;
   }
 
   /// Momentum on this rank.
   Vec3d localMomentum() const {
+    const MacroFields& m = macro();
     Vec3d p{0, 0, 0};
-    for (std::size_t l = 0; l < macro_.u.size(); ++l) {
-      p += macro_.u[l] * macro_.rho[l];
-    }
+    for (std::size_t l = 0; l < m.u.size(); ++l) p += m.u[l] * m.rho[l];
     return p;
   }
 
   /// Per-phase CPU time accumulated on this rank. In the production kernel
-  /// collide covers the frontier and bulk passes, stream the receive
-  /// scatter.
+  /// collide covers the frontier and bulk passes (iolet rules included),
+  /// stream the receive scatter.
   const PhaseTimer& collideTimer() const { return collideTimer_; }
   const PhaseTimer& streamTimer() const { return streamTimer_; }
   const PhaseTimer& commTimer() const { return commTimer_; }
@@ -261,6 +284,17 @@ class Solver {
   const WallPhaseTimer& overlapTimer() const { return overlapTimer_; }
   /// Wall time blocked waiting for halo receives after the bulk sweep.
   const WallPhaseTimer& recvWaitTimer() const { return recvWaitTimer_; }
+  /// Production-kernel sweep wall times per step parity (0: even steps,
+  /// 1: odd steps): the frontier pass (iolet rules included) and the bulk
+  /// pass; and the halo pack of both parities. bench_kernels reports them
+  /// per site.
+  const WallPhaseTimer& frontierTimer(int parity) const {
+    return frontierTimer_[static_cast<std::size_t>(parity)];
+  }
+  const WallPhaseTimer& bulkTimer(int parity) const {
+    return bulkTimer_[static_cast<std::size_t>(parity)];
+  }
+  const WallPhaseTimer& packTimer() const { return packTimer_; }
 
   /// Fraction of the halo-exchange window hidden behind bulk compute:
   /// overlap / (overlap + residual receive wait). Zero on the reference
@@ -276,6 +310,9 @@ class Solver {
     commTimer_.reset();
     overlapTimer_.reset();
     recvWaitTimer_.reset();
+    for (auto& t : frontierTimer_) t.reset();
+    for (auto& t : bulkTimer_) t.reset();
+    packTimer_.reset();
   }
 
   /// Distribution i over the owned sites in external (DomainMap) order.
@@ -286,28 +323,37 @@ class Solver {
   }
 
   /// As distribution(), but into caller-owned storage (checkpointing).
+  /// Reads the canonical f_i(x) at either parity: after an even step the
+  /// value sits in its upstream neighbour's slot, and the odd step's run
+  /// tables say where.
   void gatherDistribution(int i, std::vector<double>& out) const {
     const std::size_t n = domain_->numOwned();
     out.resize(n);
-    const double* fi = f_.dirBase(i);
-    for (std::size_t l = 0; l < n; ++l) {
-      out[static_cast<std::size_t>(reorder_.externalOf[l])] = fi[l];
+    const std::uint32_t* ext = reorder_.externalOf.data();
+    if (!odd_ || i == 0) {
+      const double* fi = f_.dirBase(i);
+      for (std::size_t l = 0; l < n; ++l) out[ext[l]] = fi[l];
+      return;
+    }
+    // f_i(x) sits where the odd step's gather looks: the frontier slot
+    // table, or plane opp(i) at the upstream site for the bulk runs.
+    const std::uint32_t nf = reorder_.numFrontier;
+    const double* slab = f_.dirBase(0);
+    const std::uint32_t* slot =
+        frontierSlots_.data() + static_cast<std::size_t>(i) * nf;
+    for (std::uint32_t k = 0; k < nf; ++k) out[ext[k]] = slab[slot[k]];
+    const int o = Lattice::kSet.opposite[static_cast<std::size_t>(i)];
+    const double* plane = f_.dirBase(o);
+    for (const StreamRun& r : bulkRuns_[static_cast<std::size_t>(o)]) {
+      for (std::uint32_t k = 0; k < r.len; ++k) {
+        out[ext[nf + r.srcK + k]] = plane[r.dst + k];
+      }
     }
   }
 
-  /// Overwrite distribution i from external-order values (restore, tests).
-  void setDistribution(int i, const std::vector<double>& values) {
-    HEMO_CHECK(values.size() == domain_->numOwned());
-    double* fi = f_.dirBase(i);
-    for (std::size_t e = 0; e < values.size(); ++e) {
-      fi[static_cast<std::size_t>(reorder_.internalOf[e])] = values[e];
-    }
-    refreshMacros();
-  }
-
-  /// Overwrite all kQ distributions at once from external-order columns,
-  /// refreshing the cached macro fields a single time (bulk restore path
-  /// used by live migration).
+  /// Overwrite all kQ distributions from external-order columns (restore,
+  /// migration, tests). Resets the parity to even and recomputes the
+  /// cached moments exactly as the next collide will.
   void setDistributions(const std::vector<std::vector<double>>& columns) {
     HEMO_CHECK(columns.size() == static_cast<std::size_t>(kQ));
     for (int i = 0; i < kQ; ++i) {
@@ -318,6 +364,7 @@ class Solver {
         fi[static_cast<std::size_t>(reorder_.internalOf[e])] = values[e];
       }
     }
+    odd_ = false;
     refreshMacros();
   }
 
@@ -336,25 +383,43 @@ class Solver {
     std::uint32_t index = 0;  ///< internal idx / flat recv slot / iolet id
   };
 
-  /// One scalar boundary/halo action of a frontier site's update.
-  enum class OpKind : std::uint8_t {
-    kSend,  ///< sendFlat_[index] = f*[dir]
-    kWall,  ///< fNext[dir][self] = f*[opposite(dir)] (bounce-back)
-    kIolet  ///< fNext[dir][self] = iolet rule (index = iolet id)
-  };
-  struct BoundaryOp {
-    std::uint32_t index = 0;
-    OpKind kind = OpKind::kSend;
-    std::uint8_t dir = 0;
-  };
   struct RecvDst {
     std::uint32_t dest = 0;  ///< internal site index
     std::uint16_t dir = 0;
   };
+  /// An iolet link: after the collide, slot (dir, site) holds the
+  /// post-collision population that left through the iolet, and the iolet
+  /// rule turns it into the incoming population of direction dir.
+  struct IoletOp {
+    std::uint32_t site = 0;
+    std::uint32_t id = 0;
+    std::uint8_t dir = 0;
+  };
+  /// A maximal unit-stride stretch of slots: `len` consecutive bulk sites
+  /// (from srcK, relative to the first bulk site) whose slots in one plane
+  /// are consecutive too (from dst).
+  struct StreamRun {
+    std::uint32_t srcK;
+    std::uint32_t dst;
+    std::uint32_t len;
+  };
+
+  /// Macro planes: rho, u (three components), then the six deviatoric
+  /// stress components (xx yy zz xy xz yz) when computeStress is on.
+  enum MacroPlane { kRho = 0, kUx, kUy, kUz, kStress };
+  static constexpr int kMacroPlanes = 4;
+  static constexpr int kMacroPlanesStress = 10;
+
+  double* macroPlane(int p) {
+    return macroPlanes_.data() + static_cast<std::size_t>(p) * macroPitch_;
+  }
+  const double* macroPlane(int p) const {
+    return macroPlanes_.data() + static_cast<std::size_t>(p) * macroPitch_;
+  }
 
   /// Site reordering, halo plans, and the streaming tables of the selected
-  /// kernel: the pull table for the reference oracle, the push tables and
-  /// unit-stride runs for the production kernel (never both).
+  /// kernel: the pull table for the reference oracle, the run tables for
+  /// the production kernel (never both).
   void buildTables() {
     const auto& lat = domain_->lattice();
     const auto& set = Lattice::kSet;
@@ -387,9 +452,8 @@ class Solver {
     }
     reorder_.numFrontier = static_cast<std::uint32_t>(reorder_.externalOf.size());
     // Row-major (x fastest): consecutive internal indices are x-consecutive
-    // sites, so the per-direction push destinations decompose into long
-    // unit-stride runs the store pass can retire as whole vectors (the
-    // propagation-optimised layout).
+    // sites, so the per-direction neighbour slots decompose into long
+    // unit-stride runs (the propagation-optimised layout).
     const auto rowMajorKey = [](const Vec3i& p) -> std::uint64_t {
       return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.z))
               << 42) |
@@ -530,197 +594,98 @@ class Solver {
     }
     sendFlat_.assign(sendTotal, 0.0);
 
-    if (!reference) buildPushTables();
+    if (!reference) buildRunTables();
   }
 
-  /// Push tables of the production kernel, derived from the same geometry/
-  /// ownership facts as the halo plans: every (site, direction) value
-  /// either pushes to a local downstream slot, fills a send slot, or folds
-  /// back into the site itself through a wall/iolet rule. Bulk sites keep
-  /// one destination per direction (push_). Frontier local pushes become
-  /// per-direction destination tables, the halfway-bounce-back wall folds
-  /// of the vectorised frontier range become per-direction wall flags
-  /// (dst plane = the incoming direction, dst index = the site itself, src
-  /// plane = the outgoing one: unit stride on both sides), and only the
-  /// iolet/halo-send actions — plus the walls of the scalar frontier tail
-  /// [nfVec, nf), which the strips never touch — stay in the short
-  /// boundary-only CSR.
-  void buildPushTables() {
+  /// Streaming tables of the production kernel, derived from the same
+  /// geometry/ownership facts as the halo plans. At an odd step site x
+  /// reads f_j from one slab slot and writes f*_opp(j) back to that same
+  /// slot: plane opp(j) at the upstream site x - c_j when that is a local
+  /// fluid site, else the site's own slot of plane j. The own slot serves
+  /// walls (it *is* halfway bounce-back), iolets (their rule is applied to
+  /// it after the frontier pass, ioletOps_) and halo links (the value is
+  /// packed from it, and the received one lands in it). Bulk sites have
+  /// only local neighbours, and row-major order turns their slots into
+  /// long unit-stride runs (bulkRuns_); frontier sites keep one flat slot
+  /// index per direction (frontierSlots_), since their neighbours are
+  /// scattered and runs would be a handful of sites long.
+  void buildRunTables() {
     const auto& lat = domain_->lattice();
     const auto& set = Lattice::kSet;
-    const std::size_t n = domain_->numOwned();
+    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     const std::uint32_t nf = reorder_.numFrontier;
-    const std::uint32_t nfVec =
-        nf - nf % static_cast<std::uint32_t>(simd::kWidth);
+    const auto slotOf = [&](int plane, std::uint32_t site) {
+      return static_cast<std::uint32_t>(
+          static_cast<std::size_t>(f_.dirBase(plane) - f_.dirBase(0)) + site);
+    };
+    const std::size_t slabSlots =
+        static_cast<std::size_t>(f_.dirBase(kQ - 1) - f_.dirBase(0)) + n;
+    HEMO_CHECK_MSG(slabSlots <= 0xFFFFFFFFu,
+                   "distribution slab too large for 32-bit slot indices");
 
-    // (internal site * 32 + dir) -> flat send slot.
-    std::unordered_map<std::uint64_t, std::uint32_t> sendSlotOf;
-    for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
-      const auto& plan = sendPlans_[p];
-      for (std::size_t k = 0; k < plan.entries.size(); ++k) {
-        const auto& e = plan.entries[k];
-        sendSlotOf.emplace(
-            static_cast<std::uint64_t>(e.local) * 32 + e.velocity,
-            static_cast<std::uint32_t>(sendFlatOffset_[p] + k));
-      }
-    }
-
-    std::array<std::vector<std::uint8_t>, kQ> wallAt;
+    // Per outgoing direction i, the local downstream slot of each bulk
+    // site (the slot direction i streams into, plane i).
+    std::array<std::vector<std::uint32_t>, kQ> dst;
     for (int i = 1; i < kQ; ++i) {
-      push_[static_cast<std::size_t>(i)].assign(n - nf, 0);
-      frontierLocalDst_[static_cast<std::size_t>(i)].assign(nf, kNoDst);
-      wallAt[static_cast<std::size_t>(i)].assign(nfVec, 0);
+      dst[static_cast<std::size_t>(i)].resize(n - nf);
     }
-    frontierBoundaryStart_.assign(static_cast<std::size_t>(nf) + 1, 0);
-    frontierBoundaryOps_.clear();
-
-    for (std::size_t l = 0; l < n; ++l) {
+    frontierSlots_.assign(static_cast<std::size_t>(kQ) * nf, 0);
+    for (std::uint32_t l = 0; l < nf; ++l) frontierSlots_[l] = slotOf(0, l);
+    ioletOps_.clear();
+    for (std::uint32_t l = 0; l < n; ++l) {
       const std::uint64_t g = domain_->globalOf(reorder_.externalOf[l]);
       for (int i = 1; i < kQ; ++i) {
         const int gd = set.geoDir[static_cast<std::size_t>(i)];
+        const int in = set.opposite[static_cast<std::size_t>(i)];
         const auto down = lat.neighborId(g, gd);
-        if (down >= 0 &&
-            domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
-                domain_->rank()) {
-          const std::uint32_t dest =
-              reorder_.internalOf[static_cast<std::size_t>(
-                  domain_->localOf(static_cast<std::uint64_t>(down)))];
-          if (l < nf) {
-            frontierLocalDst_[static_cast<std::size_t>(i)][l] = dest;
-          } else {
-            push_[static_cast<std::size_t>(i)][l - nf] = dest;
+        const bool local =
+            down >= 0 && domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
+                             domain_->rank();
+        const std::uint32_t to =
+            local ? reorder_.internalOf[static_cast<std::size_t>(
+                        domain_->localOf(static_cast<std::uint64_t>(down)))]
+                  : 0;
+        if (l >= nf) {
+          HEMO_CHECK_MSG(local, "bulk site with non-local downstream " << g);
+          dst[static_cast<std::size_t>(i)][l - nf] = to;
+          continue;
+        }
+        // The slot site l reads f_in from (and writes f*_i to).
+        frontierSlots_[static_cast<std::size_t>(in) * nf + l] =
+            local ? slotOf(i, to) : slotOf(in, l);
+        if (down < 0) {
+          const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
+          if (link.kind != geometry::LinkKind::kWall) {
+            ioletOps_.push_back(
+                {l, link.ioletId, static_cast<std::uint8_t>(in)});
           }
-          continue;
         }
-        HEMO_CHECK_MSG(l < nf, "bulk site with non-local downstream " << g);
-        if (down >= 0) {
-          const auto it = sendSlotOf.find(static_cast<std::uint64_t>(l) * 32 +
-                                          static_cast<std::uint64_t>(i));
-          HEMO_CHECK_MSG(it != sendSlotOf.end(),
-                         "missing halo send slot for site " << g);
-          frontierBoundaryOps_.push_back(
-              {it->second, OpKind::kSend, static_cast<std::uint8_t>(i)});
-          continue;
-        }
-        // The outgoing population hits a wall/iolet and folds back into
-        // this site along the opposite (incoming) direction — the push
-        // form of the pull table's kWall/kIolet rules.
-        const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
-        const auto in = static_cast<std::uint8_t>(
-            set.opposite[static_cast<std::size_t>(i)]);
-        if (link.kind != geometry::LinkKind::kWall) {
-          frontierBoundaryOps_.push_back({link.ioletId, OpKind::kIolet, in});
-        } else if (l < nfVec) {
-          wallAt[static_cast<std::size_t>(in)][l] = 1;
-        } else {
-          frontierBoundaryOps_.push_back({0, OpKind::kWall, in});
-        }
-      }
-      if (l < nf) {
-        frontierBoundaryStart_[l + 1] =
-            static_cast<std::uint32_t>(frontierBoundaryOps_.size());
       }
     }
-    buildSimdRuns(wallAt);
+    for (int i = 1; i < kQ; ++i) {
+      bulkRuns_[static_cast<std::size_t>(i)] =
+          buildRuns(dst[static_cast<std::size_t>(i)].data(), n - nf);
+    }
   }
 
-  /// Decompose the push targets into unit-stride runs. For row-major
-  /// bulk ordering almost every destination advances in lockstep with the
-  /// source (dst[k+1] == dst[k]+1 whenever two x-consecutive sites stream
-  /// to two x-consecutive sites), so the streamed writes of the SIMD store
-  /// pass become a handful of contiguous vector copies per strip instead
-  /// of kQ scatter loops. Runs never cross strip boundaries — the store
-  /// pass drains them strip by strip with one cursor per direction.
-  void buildSimdRuns(const std::array<std::vector<std::uint8_t>, kQ>& wallAt) {
-    const std::uint32_t nf = reorder_.numFrontier;
-    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
-    constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
-    // Start the vector groups at the first kW-aligned bulk site: the SoA
-    // planes are 64-byte aligned with a pitch that is a multiple of kW
-    // doubles, so an aligned group index makes every per-plane group load
-    // a full aligned vector (an odd frontier count would otherwise split
-    // all 19 loads of every group across two cache lines). The few bulk
-    // sites before the aligned start take the scalar path.
-    simdVecStart_ = nf;
-    if (simdVecStart_ % kW != 0) simdVecStart_ += kW - simdVecStart_ % kW;
-    if (simdVecStart_ > n) simdVecStart_ = n;
-    const std::uint32_t nb = n - simdVecStart_;
-    simdVecSites_ = nb - nb % kW;
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = simdRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint32_t* dst =
-          push_[static_cast<std::size_t>(i)].data() + (simdVecStart_ - nf);
-      for (std::uint32_t k = 0; k < simdVecSites_; ++k) {
-        if (k % kBulkStrip == 0 || dst[k] != dst[k - 1] + 1) {
-          runs.push_back({k, dst[k], 1});
-        } else {
-          ++runs.back().len;
-        }
+  /// Decompose the bulk sites' slot indices into unit-stride runs. For
+  /// row-major bulk ordering almost every slot advances in lockstep with
+  /// the site (dst[k+1] == dst[k]+1 whenever two x-consecutive sites
+  /// stream to two x-consecutive sites), so each direction of a strip is a
+  /// handful of contiguous copies. Runs never cross strip boundaries: the
+  /// odd sweep walks them strip by strip with one cursor per direction.
+  static std::vector<StreamRun> buildRuns(const std::uint32_t* dst,
+                                          std::uint32_t count) {
+    std::vector<StreamRun> runs;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      if (!runs.empty() && runs.back().dst + runs.back().len == dst[k] &&
+          k % kBulkStrip != 0) {
+        ++runs.back().len;
+      } else {
+        runs.push_back({k, dst[k], 1});
       }
     }
-    bulkStrip_.assign(
-        static_cast<std::size_t>(kStripPlanes) * kBulkStrip, 0.0);
-
-    // Unit-stride runs over the external indices of the two vectorised
-    // ranges: the reorder preserves relative order, so extOf is strictly
-    // increasing with gaps where the other class' sites sit — the macro
-    // fields (external order) drain from the strip's moment planes as
-    // sequential bursts instead of a per-lane scatter.
-    const auto buildExtRuns = [&](std::vector<StreamRun>& runs,
-                                  std::uint32_t first, std::uint32_t count) {
-      runs.clear();
-      const std::uint32_t* ext = reorder_.externalOf.data() + first;
-      for (std::uint32_t k = 0; k < count; ++k) {
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            runs.back().dst + runs.back().len == ext[k] &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, ext[k], 1});
-        }
-      }
-    };
-    buildExtRuns(macroRunsBulk_, simdVecStart_, simdVecSites_);
-    const std::uint32_t nfVec = nf - nf % kW;
-    buildExtRuns(macroRunsFrontier_, 0, nfVec);
-
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = frontierWallRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint8_t* at = wallAt[static_cast<std::size_t>(i)].data();
-      for (std::uint32_t k = 0; k < nfVec; ++k) {
-        if (!at[k]) continue;
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, k, 1});
-        }
-      }
-    }
-
-    // Unit-stride runs over the frontier dst tables, exactly like the
-    // bulk runs: consecutive frontier sites usually push to consecutive
-    // slots of the same plane, so the strips can retire them as
-    // sequential bursts instead of 18 interleaved element stores per
-    // site. kNoDst lanes (boundary ops) break runs, as do strip edges.
-    for (int i = 1; i < kQ; ++i) {
-      auto& runs = frontierRuns_[static_cast<std::size_t>(i)];
-      runs.clear();
-      const std::uint32_t* dst =
-          frontierLocalDst_[static_cast<std::size_t>(i)].data();
-      for (std::uint32_t k = 0; k < nfVec; ++k) {
-        if (dst[k] == kNoDst) continue;
-        if (!runs.empty() && runs.back().srcK + runs.back().len == k &&
-            runs.back().dst + runs.back().len == dst[k] &&
-            k % kBulkStrip != 0) {
-          ++runs.back().len;
-        } else {
-          runs.push_back({k, dst[k], 1});
-        }
-      }
-    }
+    return runs;
   }
 
   /// Loop-invariant collision constants plus raw output pointers, hoisted
@@ -734,9 +699,8 @@ class Solver {
     bool forced = false;
     bool stress = false;
     double stressPrefactor = 0.0;
-    double* rhoOut = nullptr;
-    Vec3d* uOut = nullptr;
-    SymTensor3* stressOut = nullptr;
+    /// Internal-order macro planes: rho, ux, uy, uz, stress components.
+    double* macro[kMacroPlanesStress] = {};
   };
 
   CollisionCtx collisionCtx() {
@@ -750,9 +714,8 @@ class Solver {
     ctx.forced = ctx.F.norm2() > 0.0;
     ctx.stress = params_.computeStress;
     ctx.stressPrefactor = -(1.0 - 0.5 * ctx.omega);
-    ctx.rhoOut = macro_.rho.data();
-    ctx.uOut = macro_.u.data();
-    ctx.stressOut = ctx.stress ? macro_.stress.data() : nullptr;
+    const int planes = ctx.stress ? kMacroPlanesStress : kMacroPlanes;
+    for (int p = 0; p < planes; ++p) ctx.macro[p] = macroPlane(p);
     return ctx;
   }
 
@@ -778,309 +741,68 @@ class Solver {
     return d;
   }
 
-  /// Moments + collision (+ forcing/stress) of one site, in place: `fl`
-  /// holds the pre-collision populations on entry, post-collision on
-  /// return. `ext` is the external index the macroscopic fields are
-  /// written to. This is the optimised form (flat direction constants, one
-  /// reciprocal, fused equilibrium polynomial); relaxSiteReference() keeps
-  /// the pre-fusion arithmetic — same update to round-off, so the paired
-  /// kernels agree to ~1e-12 over hundreds of steps.
-  void relaxSite(const CollisionCtx& ctx, double* fl, std::size_t ext) {
-    const auto& d = dir_;
-    double rho = 0.0, mx = 0.0, my = 0.0, mz = 0.0;
-    for (int i = 0; i < kQ; ++i) {
-      const double fi = fl[i];
-      rho += fi;
-      mx += d.cx[static_cast<std::size_t>(i)] * fi;
-      my += d.cy[static_cast<std::size_t>(i)] * fi;
-      mz += d.cz[static_cast<std::size_t>(i)] * fi;
-    }
-    const double invRho = 1.0 / rho;
-    // Guo: physical velocity includes half the force impulse.
-    double ux = mx * invRho, uy = my * invRho, uz = mz * invRho;
-    if (ctx.forced) {
-      const double h = 0.5 * invRho;
-      ux += ctx.F.x * h;
-      uy += ctx.F.y * h;
-      uz += ctx.F.z * h;
-    }
-    ctx.rhoOut[ext] = rho;
-    ctx.uOut[ext] = Vec3d{ux, uy, uz};
-
-    const double base = 1.0 - 1.5 * (ux * ux + uy * uy + uz * uz);
-    double feq[kQ], cus[kQ];
-    for (int i = 0; i < kQ; ++i) {
-      const double cu = d.cx[static_cast<std::size_t>(i)] * ux +
-                        d.cy[static_cast<std::size_t>(i)] * uy +
-                        d.cz[static_cast<std::size_t>(i)] * uz;
-      cus[i] = cu;
-      feq[i] = d.w[static_cast<std::size_t>(i)] * rho *
-               (base + cu * (3.0 + 4.5 * cu));
-    }
-
-    if (ctx.stress) {
-      SymTensor3 pi{};
-      for (int i = 0; i < kQ; ++i) {
-        const double fneq = fl[i] - feq[i];
-        const double cx = d.cx[static_cast<std::size_t>(i)];
-        const double cy = d.cy[static_cast<std::size_t>(i)];
-        const double cz = d.cz[static_cast<std::size_t>(i)];
-        pi.xx() += fneq * cx * cx;
-        pi.yy() += fneq * cy * cy;
-        pi.zz() += fneq * cz * cz;
-        pi.xy() += fneq * cx * cy;
-        pi.xz() += fneq * cx * cz;
-        pi.yz() += fneq * cy * cz;
-      }
-      // Deviatoric part of the relaxed non-equilibrium momentum flux.
-      SymTensor3 sigma = pi * ctx.stressPrefactor;
-      const double trace3 = (sigma.xx() + sigma.yy() + sigma.zz()) / 3.0;
-      sigma.xx() -= trace3;
-      sigma.yy() -= trace3;
-      sigma.zz() -= trace3;
-      ctx.stressOut[ext] = sigma;
-    }
-
-    if (!ctx.trt) {
-      for (int i = 0; i < kQ; ++i) {
-        fl[i] += ctx.omega * (feq[i] - fl[i]);
-      }
-    } else {
-      const auto& set = Lattice::kSet;
-      for (int i = 0; i < kQ; ++i) {
-        const int j = set.opposite[static_cast<std::size_t>(i)];
-        if (j < i) continue;
-        const double fPlus = 0.5 * (fl[i] + fl[j]);
-        const double fMinus = 0.5 * (fl[i] - fl[j]);
-        const double eqPlus = 0.5 * (feq[i] + feq[j]);
-        const double eqMinus = 0.5 * (feq[i] - feq[j]);
-        const double dPlus = ctx.omega * (eqPlus - fPlus);
-        const double dMinus = ctx.omegaMinus * (eqMinus - fMinus);
-        fl[i] += dPlus + dMinus;
-        if (j != i) fl[j] += dPlus - dMinus;
-      }
-    }
-
-    if (ctx.forced) {
-      const double pref = 1.0 - 0.5 * ctx.omega;
-      for (int i = 0; i < kQ; ++i) {
-        const double cx = d.cx[static_cast<std::size_t>(i)];
-        const double cy = d.cy[static_cast<std::size_t>(i)];
-        const double cz = d.cz[static_cast<std::size_t>(i)];
-        const double nineCu = 9.0 * cus[i];
-        const double termF = (3.0 * (cx - ux) + cx * nineCu) * ctx.F.x +
-                             (3.0 * (cy - uy) + cy * nineCu) * ctx.F.y +
-                             (3.0 * (cz - uz) + cz * nineCu) * ctx.F.z;
-        fl[i] += pref * d.w[static_cast<std::size_t>(i)] * termF;
-      }
-    }
-  }
-
   // --- production kernel -------------------------------------------------
 
-  /// Raw hot-loop pointers, hoisted once per step: direction i of
-  /// internal site l is fsrc[i][l]; pdst[i] holds the push destinations of
-  /// the bulk sites, indexed from the first bulk site.
-  struct SweepPtrs {
-    const double* fsrc[kQ];
-    double* fdst[kQ];
-    const std::uint32_t* pdst[kQ];
-    const std::uint32_t* extOf;
-    double* sendFlat;
+  /// Plane pointers of one step: the slab (slab[i] = plane i), the even
+  /// step's store targets (even[i] = plane opp(i)) and the strip planes.
+  struct SweepPlanes {
+    double* slab[kQ];
+    double* even[kQ];
+    double* strip[kQ];
   };
 
-  SweepPtrs sweepPtrs() {
-    SweepPtrs p;
+  SweepPlanes sweepPlanes() {
+    SweepPlanes p;
     for (int i = 0; i < kQ; ++i) {
-      p.fsrc[i] = f_.dirBase(i);
-      p.fdst[i] = fNext_.dirBase(i);
-      p.pdst[i] = push_[static_cast<std::size_t>(i)].data();
+      p.slab[i] = f_.dirBase(i);
+      p.even[i] =
+          f_.dirBase(Lattice::kSet.opposite[static_cast<std::size_t>(i)]);
+      p.strip[i] = strip_.data() + static_cast<std::size_t>(i) * kBulkStrip;
     }
-    p.extOf = reorder_.externalOf.data();
-    p.sendFlat = sendFlat_.data();
     return p;
   }
 
-  /// Boundary actions (wall/iolet/halo-send) of frontier site l — the
-  /// local pushes are retired separately (direction-major from the strip,
-  /// or through frontierLocalDst_ on the scalar tail), so this walks the
-  /// short boundary-only CSR. `fl` holds the post-collision populations
-  /// at stride flStride (1, or the direction-major strip buffer's).
-  void scatterBoundaryOps(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                          std::uint32_t l, const double* fl,
-                          std::size_t flStride) {
-    const std::uint32_t begin = frontierBoundaryStart_[l];
-    const std::uint32_t end = frontierBoundaryStart_[l + 1];
-    if (begin == end) return;
-    const auto& set = Lattice::kSet;
-    const auto ext = static_cast<std::size_t>(ptrs.extOf[l]);
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const BoundaryOp op = frontierBoundaryOps_[k];
-      const auto dir = static_cast<std::size_t>(op.dir);
-      switch (op.kind) {
-        case OpKind::kSend:
-          ptrs.sendFlat[static_cast<std::size_t>(op.index)] =
-              fl[dir * flStride];
-          break;
-        case OpKind::kWall:
-          // Halfway bounce-back off the vessel wall.
-          ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          break;
-        case OpKind::kIolet: {
-          const auto id = static_cast<std::size_t>(op.index);
-          const Vec3d c = set.c[dir].template cast<double>();
-          const double w = set.w[dir];
-          const double bounce =
-              fl[static_cast<std::size_t>(set.opposite[dir]) * flStride];
-          if (ioletIsVelocityBc_[id]) {
-            // Ladd bounce-back off a "wall" moving at the prescribed
-            // iolet velocity: injects the target momentum flux.
-            const double rho = ctx.rhoOut[ext];
-            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-                bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
-          } else {
-            // Anti-bounce-back pressure boundary at the prescribed
-            // density, using the site's own velocity as the boundary
-            // value.
-            const double rhoIo = ioletDensity_[id];
-            const Vec3d u = ctx.uOut[ext];
-            const double cu = c.dot(u);
-            ptrs.fdst[dir][static_cast<std::size_t>(l)] =
-                -bounce + 2.0 * w * rhoIo *
-                              (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  /// A maximal unit-stride stretch of strip writes: `len` consecutive
-  /// source slots landing in `len` consecutive destination slots.
-  struct StreamRun {
-    std::uint32_t srcK;  ///< first vector-relative source index of the run
-    std::uint32_t dst;   ///< destination index of that first site
-    std::uint32_t len;
-  };
-
-  /// Retire this strip's share of one direction's runs: `src` is the
-  /// strip plane indexed by run-relative srcK, and each run is a single
-  /// sequential copy into `dst` (non-temporal when `nt` and the run spans
-  /// at least two vectors).
-  static void drainRuns(const std::vector<StreamRun>& runs, std::size_t& cur,
-                        double* dst, const double* src, std::uint32_t stripEnd,
-                        bool nt) {
-    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-      const StreamRun r = runs[cur++];
-      simd::copyDoubles(dst + r.dst, src + r.srcK, r.len,
-                        nt && r.len >= 2 * simd::kWidth);
-    }
-  }
-
-  /// Retire this strip's share of the macro-field runs: rho as straight
-  /// copies, u re-interleaved to Vec3d — per run a single sequential
-  /// destination stream each.
-  void drainMacroRuns(const CollisionCtx& ctx,
-                      const std::vector<StreamRun>& runs, std::size_t& cur,
-                      const double* strip, std::uint32_t base,
-                      std::uint32_t stripEnd) {
-    const double* rhoS =
-        strip + static_cast<std::size_t>(kQ) * kBulkStrip - base;
-    const double* uxS =
-        strip + static_cast<std::size_t>(kQ + 1) * kBulkStrip - base;
-    const double* uyS =
-        strip + static_cast<std::size_t>(kQ + 2) * kBulkStrip - base;
-    const double* uzS =
-        strip + static_cast<std::size_t>(kQ + 3) * kBulkStrip - base;
-    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
-      const StreamRun r = runs[cur];
-      simd::copyDoubles(ctx.rhoOut + r.dst, rhoS + r.srcK, r.len, false);
-      Vec3d* u = ctx.uOut + r.dst;
-      for (std::uint32_t k = 0; k < r.len; ++k) {
-        u[k] = Vec3d{uxS[r.srcK + k], uyS[r.srcK + k], uzS[r.srcK + k]};
-      }
-      ++cur;
-    }
-  }
-
-  /// The production step. Both sweeps run as SIMD strips: collision runs
-  /// kBulkStrip sites at a time into a direction-major L2 buffer and the
-  /// streamed writes retire as unit-stride runs, one direction at a time.
-  /// Frontier boundary actions (iolets/halo sends) and the sub-group
-  /// tails keep the scalar path (branchy minority).
-  void stepSimd() {
+  /// The production step: frontier pass, iolet rules, halo pack + send,
+  /// bulk pass while the messages are in flight, receive scatter. Only the
+  /// two passes depend on the parity.
+  void stepAA() {
     const CollisionCtx ctx = collisionCtx();
-    const SweepPtrs ptrs = sweepPtrs();
+    const SweepPlanes planes = sweepPlanes();
     const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     const std::uint32_t nf = reorder_.numFrontier;
-
+    const std::size_t parity = odd_ ? 1 : 0;
+    // The even frontier pass rounds up to a whole vector group (a few bulk
+    // sites collide early, which is harmless: even steps are site-local).
     constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
-    // Frontier pass: collision is uniform, so it vectorises exactly like
-    // the bulk (frontier sites are contiguous at the front of every
-    // plane). Local pushes retire direction-major through the dst tables;
-    // only the boundary-only CSR (walls/iolets/halo sends) needs per-op
-    // dispatch.
+    const std::uint32_t split = std::min(n, (nf + kW - 1) / kW * kW);
     {
       ScopedPhase phase(collideTimer_);
+      ScopedWallPhase wall(frontierTimer_[parity]);
       HEMO_TSPAN(kCollide, "collide.frontier");
-      const std::uint32_t nfVec = nf - nf % kW;
-      double* strip = bulkStrip_.data();
-      runCursor_.fill(0);
-      wallCursor_.fill(0);
-      macroCursor_ = 0;
-      for (std::uint32_t base = 0; base < nfVec; base += kBulkStrip) {
-        const std::uint32_t cnt = std::min(kBulkStrip, nfVec - base);
-        collideStripSimd(ctx, ptrs, base, cnt, strip, kBulkStrip);
-        // Macro fields first: the iolet boundary ops below read them.
-        drainMacroRuns(ctx, macroRunsFrontier_, macroCursor_, strip, base,
-                       base + cnt);
-        // Rest population: destination is the site itself.
-        simd::copyDoubles(ptrs.fdst[0] + base, strip, cnt, false);
-        // Local pushes: drain each direction's unit-stride runs (kNoDst
-        // lanes — the boundary ops — sit in the gaps between runs).
-        const std::uint32_t stripEnd = base + cnt;
-        for (int i = 1; i < kQ; ++i) {
-          const auto d = static_cast<std::size_t>(i);
-          drainRuns(frontierRuns_[d], runCursor_[d], ptrs.fdst[i],
-                    strip + d * kBulkStrip - base, stripEnd, false);
-        }
-        // Wall folds: fdst[i][l] = post-collision opposite(i) population
-        // of site l — unit stride on both sides, drained the same way.
-        for (int i = 1; i < kQ; ++i) {
-          const auto d = static_cast<std::size_t>(i);
-          const auto opp = static_cast<std::size_t>(Lattice::kSet.opposite[d]);
-          drainRuns(frontierWallRuns_[d], wallCursor_[d], ptrs.fdst[i],
-                    strip + opp * kBulkStrip - base, stripEnd, false);
-        }
-        // Boundary CSR (iolets/halo sends only): most strips of a large
-        // domain have an empty range — the offsets are monotone, so one
-        // compare skips the whole per-site walk.
-        if (frontierBoundaryStart_[base] != frontierBoundaryStart_[stripEnd]) {
-          for (std::uint32_t k = 0; k < cnt; ++k) {
-            scatterBoundaryOps(ctx, ptrs, base + k, strip + k, kBulkStrip);
-          }
-        }
+      if (odd_) {
+        sweepOddFrontier(ctx, planes);
+      } else {
+        collideSlab(ctx, planes, 0, split, true);
       }
-      // Sub-group tail: scalar collide, local pushes through the dst
-      // tables, everything else through the boundary-only CSR.
-      for (std::uint32_t l = nfVec; l < nf; ++l) {
-        double fl[kQ];
-        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
-        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
-        ptrs.fdst[0][l] = fl[0];
-        for (int i = 1; i < kQ; ++i) {
-          const std::uint32_t d =
-              frontierLocalDst_[static_cast<std::size_t>(i)][l];
-          if (d != kNoDst) ptrs.fdst[i][d] = fl[i];
-        }
-        scatterBoundaryOps(ctx, ptrs, l, fl, 1);
-      }
+      applyIoletRules(ctx);
     }
     {
       ScopedPhase phase(commTimer_);
       HEMO_TSPAN(kHaloSend, "halo.send");
       comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
+      {
+        // At both parities post-collision f*_i of a halo link sits in the
+        // site's own slot (opp(i), site).
+        ScopedWallPhase pack(packTimer_);
+        const auto& opp = Lattice::kSet.opposite;
+        for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
+          double* buf = sendFlat_.data() + sendFlatOffset_[p];
+          const auto& entries = sendPlans_[p].entries;
+          for (std::size_t k = 0; k < entries.size(); ++k) {
+            buf[k] = planes.slab[opp[entries[k].velocity]][entries[k].local];
+          }
+        }
+      }
       for (std::size_t p = 0; p < sendPlans_.size(); ++p) {
         comm_->sendBytes(sendPlans_[p].dest, kHaloTag,
                          sendFlat_.data() + sendFlatOffset_[p],
@@ -1090,53 +812,18 @@ class Solver {
     {
       ScopedPhase phase(collideTimer_);
       ScopedWallPhase overlap(overlapTimer_);
-      HEMO_TSPAN(kCollide, "collide.simd");
-      // Bulk sites outside the vector groups: scalar collide + push.
-      const auto pushBulkSite = [&](std::uint32_t l) {
-        double fl[kQ];
-        for (int i = 0; i < kQ; ++i) fl[i] = ptrs.fsrc[i][l];
-        relaxSite(ctx, fl, static_cast<std::size_t>(ptrs.extOf[l]));
-        ptrs.fdst[0][l] = fl[0];
-        for (int i = 1; i < kQ; ++i) {
-          ptrs.fdst[i][ptrs.pdst[i][l - nf]] = fl[i];
-        }
-      };
-      // Head: bulk sites before the aligned vector start.
-      for (std::uint32_t l = nf; l < simdVecStart_; ++l) pushBulkSite(l);
-      // Aligned bulk: collide whole strips into the direction-major
-      // buffer, then retire each direction's unit-stride runs one stream
-      // at a time. Interleaving the 19 write streams store-by-store
-      // defeats the core's full-line write combining (measured ~9x lower
-      // write bandwidth), so the drain keeps exactly one destination
-      // stream hot; with useNt_ the copies stream past the cache instead.
-      runCursor_.fill(0);
-      macroCursor_ = 0;
-      double* strip = bulkStrip_.data();
-      for (std::uint32_t base = 0; base < simdVecSites_; base += kBulkStrip) {
-        const std::uint32_t cnt = std::min(kBulkStrip, simdVecSites_ - base);
-        collideStripSimd(ctx, ptrs, simdVecStart_ + base, cnt, strip,
-                         kBulkStrip);
-        drainMacroRuns(ctx, macroRunsBulk_, macroCursor_, strip, base,
-                       base + cnt);
-        // Rest population: destination is the site itself — one
-        // contiguous copy per strip.
-        simd::copyDoubles(ptrs.fdst[0] + simdVecStart_ + base, strip, cnt,
-                          useNt_);
-        // Moving populations: drain this strip's unit-stride runs.
-        const std::uint32_t stripEnd = base + cnt;
-        for (int i = 1; i < kQ; ++i) {
-          const auto d = static_cast<std::size_t>(i);
-          drainRuns(simdRuns_[d], runCursor_[d], ptrs.fdst[i],
-                    strip + d * kBulkStrip - base, stripEnd, useNt_);
-        }
+      ScopedWallPhase wall(bulkTimer_[parity]);
+      HEMO_TSPAN(kCollide, "collide.bulk");
+      if (odd_) {
+        sweepOddBulk(ctx, planes);
+      } else {
+        collideSlab(ctx, planes, split, n, true);
       }
-      // Sub-group tail.
-      for (std::uint32_t l = simdVecStart_ + simdVecSites_; l < n; ++l) {
-        pushBulkSite(l);
-      }
-      if (useNt_) simd::storeFence();
     }
     {
+      // Each received value lands in its site's own slot of the incoming
+      // direction: canonical after an odd step, and where the next odd
+      // step's frontier gather reads it after an even one.
       comm::Communicator::TrafficScope scope(*comm_, comm::Traffic::kHalo);
       for (const int r : recvRanks_) {
         const auto off = recvOffset_[static_cast<std::size_t>(r)];
@@ -1152,54 +839,191 @@ class Solver {
         HEMO_TSPAN(kStream, "stream.scatter");
         for (std::uint32_t k = off; k < off + count; ++k) {
           const RecvDst d = recvDst_[k];
-          ptrs.fdst[d.dir][static_cast<std::size_t>(d.dest)] = recvFlat_[k];
+          planes.slab[d.dir][static_cast<std::size_t>(d.dest)] = recvFlat_[k];
         }
       }
     }
   }
 
-  /// One vector group of post-collision populations (lane w = site s0+w).
-  struct VecGroup {
-    simd::VecD f[kQ];
-    /// Macroscopic moments of the group, staged for the strip's run
-    /// drain instead of lane-scattered through extOf.
-    simd::VecD rho, ux, uy, uz;
-  };
-  /// Strip planes: kQ post-collision populations, then rho/ux/uy/uz.
-  static constexpr int kStripPlanes = kQ + 4;
+  /// Collide slab sites [first, last) (first a multiple of simd::kWidth)
+  /// as aligned vector groups read from plane i. With `store`, direction i
+  /// lands in plane opp(i) of the same site (the even step); without,
+  /// only the moments are kept (refreshMacros).
+  void collideSlab(const CollisionCtx& ctx, const SweepPlanes& p,
+                   std::uint32_t first, std::uint32_t last, bool store) {
+    constexpr auto kW = static_cast<std::uint32_t>(simd::kWidth);
+    std::uint32_t s = first;
+    for (; s + kW <= last; s += kW) {
+      collideGroup(ctx, p.slab, s, store ? p.even : p.strip, store ? s : 0,
+                   s);
+    }
+    if (s == last) return;
+    // Partial last group: stage through the strip's first vector lanes
+    // (the lanes past cnt hold earlier, finite populations).
+    const std::uint32_t cnt = last - s;
+    for (int i = 0; i < kQ; ++i) {
+      simd::copyDoubles(p.strip[i], p.slab[i] + s, cnt);
+    }
+    collideGroup(ctx, p.strip, 0, p.strip, 0, s);
+    if (!store) return;
+    for (int i = 0; i < kQ; ++i) {
+      simd::copyDoubles(p.even[i] + s, p.strip[i], cnt);
+    }
+  }
 
-  /// Collide simd::kWidth consecutive sites starting at s0 (SoA planes,
-  /// unit stride, s0 a multiple of simd::kWidth so every plane load is an
-  /// aligned full vector) into g. Per lane the arithmetic replicates
-  /// relaxSite() operation for operation, so vector and scalar sites agree
-  /// to round-off (FMA contraction is the only difference) and the kernel
-  /// tracks the reference oracle to 1e-12 over 100 steps. Stress/forcing are hoisted to template
-  /// parameters — with 19 live population vectors the register file is
-  /// full, and per-direction runtime branches are measurable.
-  void collideGroupSimd(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                        std::size_t s0, VecGroup& g) {
-    if (ctx.stress) {
-      if (ctx.forced) {
-        collideGroupSimdImpl<true, true>(ctx, ptrs, s0, g);
-      } else {
-        collideGroupSimdImpl<true, false>(ctx, ptrs, s0, g);
+  /// The odd sweep works strip by strip: gather every site's kQ
+  /// populations into the direction-major strip, collide the strip in
+  /// place one vector group at a time, and write each direction back to
+  /// the slot it was read from (direction i goes where opp(i) came from).
+  /// Stale strip lanes past the last site collide too; their populations
+  /// are never written back, and their moments land past the sweep's end:
+  /// in the first bulk sites' macro slots, which the bulk sweep then
+  /// overwrites, or in the planes' one-group overhang.
+  void collideStrip(const CollisionCtx& ctx, const SweepPlanes& p,
+                    std::uint32_t site0, std::uint32_t cnt) {
+    for (std::uint32_t k = 0; k < cnt;
+         k += static_cast<std::uint32_t>(simd::kWidth)) {
+      collideGroup(ctx, p.strip, k, p.strip, k, site0 + k);
+    }
+  }
+
+  /// Odd sweep over the frontier, through the per-direction slot table.
+  void sweepOddFrontier(const CollisionCtx& ctx, const SweepPlanes& p) {
+    const auto& opp = Lattice::kSet.opposite;
+    const std::uint32_t nf = reorder_.numFrontier;
+    double* slab = p.slab[0];
+    for (std::uint32_t base = 0; base < nf; base += kBulkStrip) {
+      const std::uint32_t cnt = std::min(kBulkStrip, nf - base);
+      for (int j = 0; j < kQ; ++j) {
+        const std::uint32_t* slot =
+            frontierSlots_.data() + static_cast<std::size_t>(j) * nf + base;
+        double* strip = p.strip[j];
+        for (std::uint32_t k = 0; k < cnt; ++k) strip[k] = slab[slot[k]];
       }
-    } else {
-      if (ctx.forced) {
-        collideGroupSimdImpl<false, true>(ctx, ptrs, s0, g);
-      } else {
-        collideGroupSimdImpl<false, false>(ctx, ptrs, s0, g);
+      collideStrip(ctx, p, base, cnt);
+      for (int j = 0; j < kQ; ++j) {
+        const std::uint32_t* slot =
+            frontierSlots_.data() + static_cast<std::size_t>(j) * nf + base;
+        const double* strip = p.strip[opp[static_cast<std::size_t>(j)]];
+        for (std::uint32_t k = 0; k < cnt; ++k) slab[slot[k]] = strip[k];
       }
     }
   }
 
+  /// Copy this strip's share of one direction's runs between the slab
+  /// plane and the strip plane (gather: slab -> strip, else strip -> slab).
+  /// `base` is the strip's first bulk-relative site.
+  template <bool Gather>
+  static void copyRuns(const std::vector<StreamRun>& runs, std::size_t& cur,
+                       double* strip, double* plane, std::uint32_t base,
+                       std::uint32_t stripEnd) {
+    while (cur < runs.size() && runs[cur].srcK < stripEnd) {
+      const StreamRun r = runs[cur++];
+      double* s = strip + (r.srcK - base);
+      double* f = plane + r.dst;
+      if constexpr (Gather) {
+        simd::copyDoubles(s, f, r.len);
+      } else {
+        simd::copyDoubles(f, s, r.len);
+      }
+    }
+  }
+
+  /// Odd sweep over the bulk, through the unit-stride runs: direction j is
+  /// gathered from plane opp(j) via the runs of opp(j), direction i drained
+  /// to plane i via its own runs — the same slots.
+  void sweepOddBulk(const CollisionCtx& ctx, const SweepPlanes& p) {
+    const auto& opp = Lattice::kSet.opposite;
+    const std::uint32_t nf = reorder_.numFrontier;
+    const std::uint32_t count =
+        static_cast<std::uint32_t>(domain_->numOwned()) - nf;
+    std::array<std::size_t, kQ> gather{}, drain{};
+    for (std::uint32_t base = 0; base < count; base += kBulkStrip) {
+      const std::uint32_t cnt = std::min(kBulkStrip, count - base);
+      const std::uint32_t end = base + cnt;
+      simd::copyDoubles(p.strip[0], p.slab[0] + nf + base, cnt);
+      for (int j = 1; j < kQ; ++j) {
+        const auto o =
+            static_cast<std::size_t>(opp[static_cast<std::size_t>(j)]);
+        copyRuns<true>(bulkRuns_[o], gather[o], p.strip[j], p.slab[o], base,
+                       end);
+      }
+      collideStrip(ctx, p, nf + base, cnt);
+      simd::copyDoubles(p.slab[0] + nf + base, p.strip[0], cnt);
+      for (int i = 1; i < kQ; ++i) {
+        const auto d = static_cast<std::size_t>(i);
+        copyRuns<false>(bulkRuns_[d], drain[d], p.strip[i], p.slab[i], base,
+                        end);
+      }
+    }
+  }
+
+  /// Iolet rules of the frontier, the same at both parities: slot (dir,
+  /// site) holds the post-collision population that left through the
+  /// iolet, and becomes the incoming population of direction dir.
+  void applyIoletRules(const CollisionCtx& ctx) {
+    const auto& set = Lattice::kSet;
+    for (const IoletOp& op : ioletOps_) {
+      const auto l = static_cast<std::size_t>(op.site);
+      const auto dir = static_cast<std::size_t>(op.dir);
+      const auto id = static_cast<std::size_t>(op.id);
+      double& slot = f_.dirBase(op.dir)[l];
+      const Vec3d c = set.c[dir].template cast<double>();
+      const double w = set.w[dir];
+      const double bounce = slot;
+      if (ioletIsVelocityBc_[id]) {
+        // Ladd bounce-back off a "wall" moving at the prescribed iolet
+        // velocity: injects the target momentum flux.
+        const double rho = ctx.macro[kRho][l];
+        slot = bounce + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
+      } else {
+        // Anti-bounce-back pressure boundary at the prescribed density,
+        // using the site's own velocity as the boundary value.
+        const double rhoIo = ioletDensity_[id];
+        const Vec3d u{ctx.macro[kUx][l], ctx.macro[kUy][l], ctx.macro[kUz][l]};
+        const double cu = c.dot(u);
+        slot = -bounce +
+               2.0 * w * rhoIo * (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
+      }
+    }
+  }
+
+  /// Collide one vector group: lanes [inOff, inOff + kWidth) of the `in`
+  /// planes (aligned) into the same lanes from outOff of the `out` planes,
+  /// moments into the macro planes from site m. Every site of the
+  /// production kernel goes through this one routine, so its results do
+  /// not depend on parity or on where the site sits. Stress/forcing are
+  /// hoisted to template parameters — with 19 live population vectors the
+  /// register file is full, and per-direction runtime branches are
+  /// measurable.
+  void collideGroup(const CollisionCtx& ctx, const double* const* in,
+                    std::size_t inOff, double* const* out, std::size_t outOff,
+                    std::size_t m) {
+    if (ctx.stress) {
+      if (ctx.forced) {
+        collideGroupImpl<true, true>(ctx, in, inOff, out, outOff, m);
+      } else {
+        collideGroupImpl<true, false>(ctx, in, inOff, out, outOff, m);
+      }
+    } else {
+      if (ctx.forced) {
+        collideGroupImpl<false, true>(ctx, in, inOff, out, outOff, m);
+      } else {
+        collideGroupImpl<false, false>(ctx, in, inOff, out, outOff, m);
+      }
+    }
+  }
+
+  /// Per lane the arithmetic is relaxSiteReference()'s update with the
+  /// optimised equilibrium polynomial and FMA contraction, so the kernel
+  /// tracks the reference oracle to 1e-12 over 100 steps.
   template <bool Stress, bool Forced>
-  void collideGroupSimdImpl(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                            std::size_t s0, VecGroup& g) {
+  void collideGroupImpl(const CollisionCtx& ctx, const double* const* in,
+                        std::size_t inOff, double* const* out,
+                        std::size_t outOff, std::size_t m) {
     using simd::VecD;
     using simd::broadcast;
     using simd::fmadd;
-    constexpr int W = simd::kWidth;
     const auto& d = dir_;
     const auto& set = Lattice::kSet;
     const VecD one = broadcast(1.0);
@@ -1209,11 +1033,11 @@ class Solver {
     const VecD mThreeHalf = broadcast(-1.5);
     const VecD omega = broadcast(ctx.omega);
 
-    VecD* fv = g.f;
+    VecD fv[kQ];
     VecD rho = simd::zero();
     VecD mx = simd::zero(), my = simd::zero(), mz = simd::zero();
     for (int i = 0; i < kQ; ++i) {
-      fv[i] = simd::load(ptrs.fsrc[i] + s0);
+      fv[i] = simd::load(in[i] + inOff);
       rho += fv[i];
       // c components are -1/0/1; zero terms change no bit of the sums.
       const double cx = d.cx[static_cast<std::size_t>(i)];
@@ -1226,18 +1050,16 @@ class Solver {
     const VecD invRho = one / rho;
     VecD ux = mx * invRho, uy = my * invRho, uz = mz * invRho;
     if constexpr (Forced) {
+      // Guo: physical velocity includes half the force impulse.
       const VecD h = half * invRho;
       ux = fmadd(broadcast(ctx.F.x), h, ux);
       uy = fmadd(broadcast(ctx.F.y), h, uy);
       uz = fmadd(broadcast(ctx.F.z), h, uz);
     }
-    // Macroscopic moments are not scattered here: they ride along in the
-    // group and the strip drains them as unit-stride external-index runs
-    // (the per-lane extOf scatter was a measured ~10% of the step).
-    g.rho = rho;
-    g.ux = ux;
-    g.uy = uy;
-    g.uz = uz;
+    simd::storeu(ctx.macro[kRho] + m, rho);
+    simd::storeu(ctx.macro[kUx] + m, ux);
+    simd::storeu(ctx.macro[kUy] + m, uy);
+    simd::storeu(ctx.macro[kUz] + m, uz);
 
     VecD u2 = ux * ux;
     u2 = fmadd(uy, uy, u2);
@@ -1347,55 +1169,22 @@ class Solver {
       VecD sxx = pxx * pref, syy = pyy * pref, szz = pzz * pref;
       const VecD sxy = pxy * pref, sxz = pxz * pref, syz = pyz * pref;
       const VecD trace3 = (sxx + syy + szz) / three;
-      sxx = sxx - trace3;
-      syy = syy - trace3;
-      szz = szz - trace3;
-      alignas(64) double t[6][W];
-      simd::store(t[0], sxx);
-      simd::store(t[1], syy);
-      simd::store(t[2], szz);
-      simd::store(t[3], sxy);
-      simd::store(t[4], sxz);
-      simd::store(t[5], syz);
-      for (int w = 0; w < W; ++w) {
-        const auto ext = static_cast<std::size_t>(
-            ptrs.extOf[s0 + static_cast<std::size_t>(w)]);
-        ctx.stressOut[ext].m = {t[0][w], t[1][w], t[2][w],
-                                t[3][w], t[4][w], t[5][w]};
-      }
+      simd::storeu(ctx.macro[kStress + 0] + m, sxx - trace3);
+      simd::storeu(ctx.macro[kStress + 1] + m, syy - trace3);
+      simd::storeu(ctx.macro[kStress + 2] + m, szz - trace3);
+      simd::storeu(ctx.macro[kStress + 3] + m, sxy);
+      simd::storeu(ctx.macro[kStress + 4] + m, sxz);
+      simd::storeu(ctx.macro[kStress + 5] + m, syz);
     }
-  }
 
-  /// Collide `count` sites (a multiple of simd::kWidth, at most `stride`;
-  /// site0 itself a multiple of simd::kWidth) from site0 into the
-  /// direction-major buffer strip[i*stride + k].
-  void collideStripSimd(const CollisionCtx& ctx, const SweepPtrs& ptrs,
-                        std::uint32_t site0, std::uint32_t count,
-                        double* strip, std::uint32_t stride) {
-    VecGroup g;
-    for (std::uint32_t k = 0; k < count;
-         k += static_cast<std::uint32_t>(simd::kWidth)) {
-      collideGroupSimd(ctx, ptrs, site0 + k, g);
-      for (int i = 0; i < kQ; ++i) {
-        simd::store(strip + static_cast<std::size_t>(i) * stride + k,
-                    g.f[i]);
-      }
-      simd::store(strip + static_cast<std::size_t>(kQ) * stride + k, g.rho);
-      simd::store(strip + static_cast<std::size_t>(kQ + 1) * stride + k,
-                  g.ux);
-      simd::store(strip + static_cast<std::size_t>(kQ + 2) * stride + k,
-                  g.uy);
-      simd::store(strip + static_cast<std::size_t>(kQ + 3) * stride + k,
-                  g.uz);
-    }
+    for (int i = 0; i < kQ; ++i) simd::store(out[i] + outOff, fv[i]);
   }
 
   // --- reference three-phase kernel --------------------------------------
   // The test oracle: Vec3-based collision arithmetic, blocking halo
   // exchange, then a pull-stream over the pull table.
 
-  void relaxSiteReference(const CollisionCtx& ctx, double* fl,
-                          std::size_t ext) {
+  void relaxSiteReference(const CollisionCtx& ctx, double* fl, std::size_t l) {
     const auto& set = Lattice::kSet;
     double rho = 0.0;
     Vec3d mom{0, 0, 0};
@@ -1407,8 +1196,10 @@ class Solver {
     // Guo: physical velocity includes half the force impulse.
     Vec3d u = mom / rho;
     if (ctx.forced) u += ctx.F * (0.5 / rho);
-    macro_.rho[ext] = rho;
-    macro_.u[ext] = u;
+    ctx.macro[kRho][l] = rho;
+    ctx.macro[kUx][l] = u.x;
+    ctx.macro[kUy][l] = u.y;
+    ctx.macro[kUz][l] = u.z;
 
     double feq[kQ];
     for (int i = 0; i < kQ; ++i) feq[i] = equilibrium<Lattice>(i, rho, u);
@@ -1432,7 +1223,9 @@ class Solver {
       sigma.xx() -= trace3;
       sigma.yy() -= trace3;
       sigma.zz() -= trace3;
-      macro_.stress[ext] = sigma;
+      for (int c = 0; c < 6; ++c) {
+        ctx.macro[kStress + c][l] = sigma.m[static_cast<std::size_t>(c)];
+      }
     }
 
     if (!ctx.trt) {
@@ -1476,8 +1269,7 @@ class Solver {
     for (std::size_t l = 0; l < n; ++l) {
       double fl[kQ];
       for (int i = 0; i < kQ; ++i) fl[i] = base[i][l];
-      relaxSiteReference(ctx, fl,
-                         static_cast<std::size_t>(reorder_.externalOf[l]));
+      relaxSiteReference(ctx, fl, l);
       for (int i = 0; i < kQ; ++i) base[i][l] = fl[i];
     }
   }
@@ -1508,6 +1300,10 @@ class Solver {
     HEMO_TSPAN(kStream, "stream");
     const std::size_t n = domain_->numOwned();
     const auto& set = Lattice::kSet;
+    const double* rhoM = macroPlane(kRho);
+    const double* uxM = macroPlane(kUx);
+    const double* uyM = macroPlane(kUy);
+    const double* uzM = macroPlane(kUz);
     // Rest population never moves.
     {
       const double* src = f_.dirBase(0);
@@ -1535,21 +1331,20 @@ class Solver {
             break;
           case PullKind::kIolet: {
             const auto id = static_cast<std::size_t>(s.index);
-            const auto ext = static_cast<std::size_t>(reorder_.externalOf[l]);
             const Vec3d c =
                 set.c[static_cast<std::size_t>(i)].template cast<double>();
             const double w = set.w[static_cast<std::size_t>(i)];
             if (ioletIsVelocityBc_[id]) {
               // Ladd bounce-back off a "wall" moving at the prescribed
               // iolet velocity: injects the target momentum flux.
-              const double rho = macro_.rho[ext];
+              const double rho = rhoM[l];
               out[l] = bounce[l] + 6.0 * w * rho * c.dot(ioletVelocity_[id]);
             } else {
               // Anti-bounce-back pressure boundary at the prescribed
               // density, using the site's own velocity as the boundary
               // value.
               const double rhoIo = ioletDensity_[id];
-              const Vec3d u = macro_.u[ext];
+              const Vec3d u{uxM[l], uyM[l], uzM[l]};
               const double cu = c.dot(u);
               out[l] = -bounce[l] + 2.0 * w * rhoIo *
                                         (1.0 + 4.5 * cu * cu - 1.5 * u.dot(u));
@@ -1561,23 +1356,41 @@ class Solver {
     }
   }
 
-  /// Recompute cached moments from the current distributions (used after
-  /// external writes such as checkpoint restore).
+  /// Recompute the cached moments from the (canonical, even-parity)
+  /// distributions after an external write such as a restore. Runs the
+  /// production collide itself with the populations dropped, so the
+  /// moments — Guo half-force shift and stress included — are bit for bit
+  /// what the next step's collide writes.
   void refreshMacros() {
+    collideSlab(collisionCtx(), sweepPlanes(), 0,
+                static_cast<std::uint32_t>(domain_->numOwned()), false);
+    macroViewStale_ = true;
+  }
+
+  /// Rebuild the external-order macro view from the internal planes.
+  void gatherMacroView() const {
     const std::size_t n = domain_->numOwned();
-    const auto& set = Lattice::kSet;
+    const std::uint32_t* ext = reorder_.externalOf.data();
+    macroView_.rho.resize(n);
+    macroView_.u.resize(n);
+    const double* rho = macroPlane(kRho);
+    const double* ux = macroPlane(kUx);
+    const double* uy = macroPlane(kUy);
+    const double* uz = macroPlane(kUz);
     for (std::size_t l = 0; l < n; ++l) {
-      double rho = 0.0;
-      Vec3d mom{0, 0, 0};
-      for (int i = 0; i < kQ; ++i) {
-        const double fi = f_.at(i, l);
-        rho += fi;
-        mom += set.c[static_cast<std::size_t>(i)].template cast<double>() * fi;
-      }
-      const auto ext = static_cast<std::size_t>(reorder_.externalOf[l]);
-      macro_.rho[ext] = rho;
-      macro_.u[ext] = mom / rho;
+      macroView_.rho[ext[l]] = rho[l];
+      macroView_.u[ext[l]] = Vec3d{ux[l], uy[l], uz[l]};
     }
+    if (params_.computeStress) {
+      macroView_.stress.resize(n);
+      const double* s[6];
+      for (int c = 0; c < 6; ++c) s[c] = macroPlane(kStress + c);
+      for (std::size_t l = 0; l < n; ++l) {
+        macroView_.stress[ext[l]].m = {s[0][l], s[1][l], s[2][l],
+                                       s[3][l], s[4][l], s[5][l]};
+      }
+    }
+    macroViewStale_ = false;
   }
 
   struct SendEntry {
@@ -1599,40 +1412,25 @@ class Solver {
 
   SiteReordering reorder_;
 
-  /// Distributions in internal (frontier-first) site order, SoA planes.
+  /// Distributions in internal (frontier-first) site order, SoA planes:
+  /// canonical f_i(x) at even parity, the AA layout after an even step.
   DistField<kQ> f_;
+  /// Second slab of the reference kernel's pull-stream (empty otherwise).
   DistField<kQ> fNext_;
-  /// Unit-stride push-destination runs of the SIMD bulk sweep: within each
-  /// kBulkStrip strip, consecutive bulk sites of direction i stream to
-  /// consecutive fNext slots (row-major bulk order makes these runs long).
-  std::array<std::vector<StreamRun>, kQ> simdRuns_;
-  std::array<std::size_t, kQ> runCursor_{};
-  std::uint32_t simdVecStart_ = 0;  ///< first (kWidth-aligned) vector site
-  std::uint32_t simdVecSites_ = 0;  ///< bulk sites covered by vector groups
-  simd::AVector<double> bulkStrip_;  ///< direction-major bulk store strip
-  bool useNt_ = false;  ///< streamed writes use non-temporal stores
-  /// SIMD frontier split: per direction, the local push destination of
-  /// each frontier site (kNoDst when that lane is a boundary op), plus
-  /// the boundary-only CSR the per-op dispatch shrinks to.
-  static constexpr std::uint32_t kNoDst = 0xFFFFFFFFu;
-  std::array<std::vector<std::uint32_t>, kQ> frontierLocalDst_;
-  std::vector<std::uint32_t> frontierBoundaryStart_;
-  std::vector<BoundaryOp> frontierBoundaryOps_;
-  /// Unit-stride runs over frontierLocalDst_ (same shape as simdRuns_),
-  /// plus the wall-fold runs (srcK == dst: the site folds into itself)
-  /// and their per-direction drain cursors.
-  std::array<std::vector<StreamRun>, kQ> frontierRuns_;
-  std::array<std::vector<StreamRun>, kQ> frontierWallRuns_;
-  std::array<std::size_t, kQ> wallCursor_{};
-  /// Unit-stride macro-field runs (srcK internal-relative, dst external).
-  std::vector<StreamRun> macroRunsFrontier_;
-  std::vector<StreamRun> macroRunsBulk_;
-  std::size_t macroCursor_ = 0;
+  /// Next step is odd (production kernel).
+  bool odd_ = false;
+  /// Odd-step slots of the frontier: [j * numFrontier + k] is the flat
+  /// slab index (from plane 0) where frontier site k reads f_j and writes
+  /// f*_opp(j).
+  std::vector<std::uint32_t> frontierSlots_;
+  /// Unit-stride runs of the bulk sites' slots per outgoing direction i:
+  /// the slots of plane i that direction i streams into.
+  std::array<std::vector<StreamRun>, kQ> bulkRuns_;
+  std::vector<IoletOp> ioletOps_;
+  /// Direction-major strip of the odd sweep (kQ planes of kBulkStrip).
+  simd::AVector<double> strip_;
   /// Pull table, internal order (built only for the reference kernel).
   std::array<std::vector<PullSrc>, kQ> pull_;
-  /// Local push targets per direction of the bulk sites, indexed from the
-  /// first bulk site (production kernel).
-  std::array<std::vector<std::uint32_t>, kQ> push_;
 
   std::vector<SendPlan> sendPlans_;
   /// Persistent flat send storage; plan p owns [sendFlatOffset_[p], ...).
@@ -1641,14 +1439,20 @@ class Solver {
   std::vector<int> recvRanks_;
   std::vector<std::uint32_t> recvOffset_;
   std::vector<double> recvFlat_;
-  /// fNext destination of each flat receive slot (production kernel).
+  /// Slab slot (site, incoming direction) of each flat receive slot.
   std::vector<RecvDst> recvDst_;
 
-  /// Macroscopic fields in external (DomainMap) site order.
-  MacroFields macro_;
+  /// Macroscopic fields in internal order, one plane each (macroPlane()).
+  simd::AVector<double> macroPlanes_;
+  std::size_t macroPitch_ = 0;
+  /// External-order view of the planes, gathered by macro() on demand.
+  mutable MacroFields macroView_;
+  mutable bool macroViewStale_ = true;
   std::uint64_t stepsDone_ = 0;
   PhaseTimer collideTimer_, streamTimer_, commTimer_;
   WallPhaseTimer overlapTimer_, recvWaitTimer_;
+  std::array<WallPhaseTimer, 2> frontierTimer_, bulkTimer_;
+  WallPhaseTimer packTimer_;
 };
 
 using SolverD3Q19 = Solver<D3Q19>;

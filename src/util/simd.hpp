@@ -19,7 +19,8 @@
 /// free functions over a trivial struct, no expression templates, nothing
 /// the optimiser has to see through. Non-temporal stores are exposed as
 /// `stream()` plus `storeFence()`; `copyDoubles()` packages the
-/// peel-to-alignment / stream / tail pattern the streaming store pass uses.
+/// peel-to-alignment / stream / tail pattern the copy-bandwidth (roofline)
+/// probes use; the LB kernel's run copies take the default plain copy.
 
 #include <cstddef>
 #include <cstdint>
@@ -149,12 +150,13 @@ inline VecD fmadd(VecD a, VecD b, VecD c) {
 inline VecD operator+=(VecD& a, VecD b) { return a = a + b; }
 inline VecD operator-=(VecD& a, VecD b) { return a = a - b; }
 
-/// Copy `n` doubles (non-overlapping). With `nt` the bulk of the copy uses
-/// non-temporal stores: scalar peel until `dst` is 64-byte aligned, full
-/// vectors streamed past the cache, scalar tail. Callers that streamed must
-/// issue storeFence() before the data is handed to another thread.
+/// Copy `n` doubles (non-overlapping). With `nt` (used only by the roofline
+/// copy probes) the bulk of the copy uses non-temporal stores: scalar peel
+/// until `dst` is 64-byte aligned, full vectors streamed past the cache,
+/// scalar tail. Callers that streamed must issue storeFence() before the
+/// data is handed to another thread.
 inline void copyDoubles(double* dst, const double* src, std::size_t n,
-                        bool nt) {
+                        bool nt = false) {
   // Short copies (frontier runs average a handful of sites) stay inline:
   // a libc memcpy call costs more than the copy itself.
   if (n < 2 * static_cast<std::size_t>(kWidth)) {
@@ -181,9 +183,9 @@ inline void copyDoubles(double* dst, const double* src, std::size_t n,
 }
 
 /// Ask the kernel to back [p, p+bytes) with transparent huge pages. A
-/// D3Q19 sweep keeps ~40 direction planes (two slabs) hot at once; on 4 KiB
-/// pages that overflows the first-level DTLB every vector group, and the
-/// walk cost dominates the streamed stores. Must be called before first
+/// D3Q19 sweep keeps 19 direction planes plus the macro planes hot at
+/// once; on 4 KiB pages that overflows the first-level DTLB every vector
+/// group, and the walk cost dominates the streamed accesses. Must be called before first
 /// touch so the pages can be allocated huge rather than collapsed later.
 inline void adviseHugePages(void* p, std::size_t bytes) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)

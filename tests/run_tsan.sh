@@ -2,8 +2,8 @@
 # Build the LB solver tests under ThreadSanitizer and run them.
 #
 # The comm runtime simulates ranks as threads, so the solver's halo
-# overlap path (send buffers filled by the frontier pass, bulk compute
-# racing in-flight messages, receives scattered into fNext), the
+# overlap path (send buffers packed after the frontier pass, bulk compute
+# racing in-flight messages, receives scattered into the slab), the
 # telemetry SPSC trace ring (rank thread producing, driver/test draining),
 # and the serving broker (N client threads subscribing/receiving against
 # the rank-0 serving thread) are exactly the kind of code TSan can vet.

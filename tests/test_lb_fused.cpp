@@ -42,43 +42,61 @@ struct GlobalState {
   std::vector<Vec3d> u;
 };
 
+/// Run one solver per rank to the last of `stepCounts` (ascending) and
+/// gather the full state after each listed step count.
 template <typename Lattice = D3Q19>
-GlobalState runGatheredState(
+std::vector<GlobalState> runGatheredStates(
     const SparseLattice& lattice, int ranks, const LbParams& params,
-    int steps,
+    const std::vector<int>& stepCounts,
     const std::type_identity_t<std::function<void(Solver<Lattice>&)>>& setup =
         nullptr) {
   const auto graph = partition::buildSiteGraph(lattice);
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, ranks);
 
-  GlobalState state;
-  state.f.assign(static_cast<std::size_t>(Lattice::kQ),
+  GlobalState blank;
+  blank.f.assign(static_cast<std::size_t>(Lattice::kQ),
                  std::vector<double>(lattice.numFluidSites(), 0.0));
-  state.rho.assign(lattice.numFluidSites(), 0.0);
-  state.u.assign(lattice.numFluidSites(), Vec3d{});
+  blank.rho.assign(lattice.numFluidSites(), 0.0);
+  blank.u.assign(lattice.numFluidSites(), Vec3d{});
+  std::vector<GlobalState> states(stepCounts.size(), blank);
 
   comm::Runtime rt(ranks);
   rt.run([&](comm::Communicator& comm) {
     DomainMap domain(lattice, part, comm.rank());
     Solver<Lattice> solver(domain, comm, params);
     if (setup) setup(solver);
-    solver.run(steps);
+    int done = 0;
     std::vector<double> fi;
-    for (int i = 0; i < Lattice::kQ; ++i) {
-      solver.gatherDistribution(i, fi);
+    for (std::size_t k = 0; k < stepCounts.size(); ++k) {
+      solver.run(stepCounts[k] - done);
+      done = stepCounts[k];
+      auto& state = states[k];
+      for (int i = 0; i < Lattice::kQ; ++i) {
+        solver.gatherDistribution(i, fi);
+        for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+          state.f[static_cast<std::size_t>(i)]
+                 [static_cast<std::size_t>(domain.globalOf(l))] = fi[l];
+        }
+      }
       for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-        state.f[static_cast<std::size_t>(i)]
-               [static_cast<std::size_t>(domain.globalOf(l))] = fi[l];
+        const auto g = static_cast<std::size_t>(domain.globalOf(l));
+        state.rho[g] = solver.macro().rho[static_cast<std::size_t>(l)];
+        state.u[g] = solver.macro().u[static_cast<std::size_t>(l)];
       }
     }
-    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-      const auto g = static_cast<std::size_t>(domain.globalOf(l));
-      state.rho[g] = solver.macro().rho[static_cast<std::size_t>(l)];
-      state.u[g] = solver.macro().u[static_cast<std::size_t>(l)];
-    }
   });
-  return state;
+  return states;
+}
+
+template <typename Lattice = D3Q19>
+GlobalState runGatheredState(
+    const SparseLattice& lattice, int ranks, const LbParams& params,
+    int steps,
+    const std::type_identity_t<std::function<void(Solver<Lattice>&)>>& setup =
+        nullptr) {
+  return std::move(
+      runGatheredStates<Lattice>(lattice, ranks, params, {steps}, setup)[0]);
 }
 
 template <typename Lattice = D3Q19>
@@ -114,33 +132,49 @@ void expectStatesMatch(const GlobalState& a, const GlobalState& b,
 // decompositions.
 
 /// Largest per-site difference in the Frobenius norm of the stress tensor
-/// between `params.kernel` and the reference kernel after `steps` steps.
-double maxStressMismatch(const SparseLattice& lattice, LbParams params,
-                         int ranks, int steps) {
+/// between `params.kernel` and the reference kernel, after each of
+/// `stepCounts` (ascending) steps of one run per kernel.
+std::vector<double> maxStressMismatches(const SparseLattice& lattice,
+                                        LbParams params, int ranks,
+                                        const std::vector<int>& stepCounts) {
   const auto graph = partition::buildSiteGraph(lattice);
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, ranks);
-  std::vector<double> stressNorm[2];
+  // stressNorm[kernel][checkpoint][global site]
+  std::vector<std::vector<double>> stressNorm[2];
   for (const auto kernel : {params.kernel, LbParams::Kernel::kReference}) {
     params.kernel = kernel;
     auto& out = stressNorm[kernel == LbParams::Kernel::kReference ? 1 : 0];
-    out.assign(lattice.numFluidSites(), 0.0);
+    out.assign(stepCounts.size(),
+               std::vector<double>(lattice.numFluidSites(), 0.0));
     comm::Runtime rt(ranks);
     rt.run([&](comm::Communicator& comm) {
       DomainMap domain(lattice, part, comm.rank());
       SolverD3Q19 solver(domain, comm, params);
-      solver.run(steps);
-      for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-        out[static_cast<std::size_t>(domain.globalOf(l))] =
-            solver.macro().stress[static_cast<std::size_t>(l)].frobenius();
+      int done = 0;
+      for (std::size_t k = 0; k < stepCounts.size(); ++k) {
+        solver.run(stepCounts[k] - done);
+        done = stepCounts[k];
+        for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+          out[k][static_cast<std::size_t>(domain.globalOf(l))] =
+              solver.macro().stress[static_cast<std::size_t>(l)].frobenius();
+        }
       }
     });
   }
-  double maxD = 0.0;
-  for (std::size_t g = 0; g < stressNorm[0].size(); ++g) {
-    maxD = std::max(maxD, std::abs(stressNorm[0][g] - stressNorm[1][g]));
+  std::vector<double> maxD(stepCounts.size(), 0.0);
+  for (std::size_t k = 0; k < stepCounts.size(); ++k) {
+    for (std::size_t g = 0; g < stressNorm[0][k].size(); ++g) {
+      maxD[k] = std::max(maxD[k],
+                         std::abs(stressNorm[0][k][g] - stressNorm[1][k][g]));
+    }
   }
   return maxD;
+}
+
+double maxStressMismatch(const SparseLattice& lattice, LbParams params,
+                         int ranks, int steps) {
+  return maxStressMismatches(lattice, params, ranks, {steps})[0];
 }
 
 /// Velocity BC on the inlet, pressure BC on the outlet: exercises both
@@ -185,20 +219,39 @@ TEST(FusedVsReference, StressFieldMatches) {
   EXPECT_LE(maxStressMismatch(tube(), params, 2, 50), 1e-12);
 }
 
+// The production kernel alternates two step types (AA pattern: even steps
+// collide in place, odd steps gather, collide and scatter back), so every
+// case compares states after odd and even step counts — 1, 7 and 101 stop
+// with the slab in the AA layout of an even step, 2 and 100 in canonical
+// order — on the canonical populations gatherDistribution reads at either
+// parity. One run per kernel goes to the last count and is read at each.
+const std::vector<int> kStepCounts = {1, 2, 7, 100, 101};
+
+/// Run both kernels once through kStepCounts and compare every checkpoint.
+void expectSimdMatchesReference(
+    const SparseLattice& lattice, LbParams params, int ranks,
+    const std::function<void(SolverD3Q19&)>& setup = nullptr) {
+  params.kernel = LbParams::Kernel::kSimd;
+  const auto simd =
+      runGatheredStates(lattice, ranks, params, kStepCounts, setup);
+  params.kernel = LbParams::Kernel::kReference;
+  const auto ref =
+      runGatheredStates(lattice, ranks, params, kStepCounts, setup);
+  for (std::size_t k = 0; k < kStepCounts.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << ranks << " ranks, " << kStepCounts[k]
+                                    << " steps");
+    expectStatesMatch(simd[k], ref[k], 1e-12);
+  }
+}
+
 TEST(SimdVsReference, BgkBodyForceMatches) {
   const auto lattice = tube();
   LbParams params;
   params.tau = 0.8;
   params.collision = LbParams::Collision::kBgk;
   params.bodyForce = Vec3d{1e-5, 0, 0};
-
-  for (const int ranks : {2, 3, 4}) {
-    SCOPED_TRACE(ranks);
-    params.kernel = LbParams::Kernel::kSimd;
-    const auto simd = runGatheredState(lattice, ranks, params, 100);
-    params.kernel = LbParams::Kernel::kReference;
-    const auto ref = runGatheredState(lattice, ranks, params, 100);
-    expectStatesMatch(simd, ref, 1e-12);
+  for (const int ranks : {1, 2, 3, 4}) {
+    expectSimdMatchesReference(lattice, params, ranks);
   }
 }
 
@@ -208,28 +261,18 @@ TEST(SimdVsReference, TrtBothIoletKindsMatch) {
   LbParams params;
   params.tau = 0.9;
   params.collision = LbParams::Collision::kTrt;
-
-  params.kernel = LbParams::Kernel::kSimd;
-  const auto simd =
-      runGatheredState(lattice, 4, params, 100, setBothIoletKinds);
-  params.kernel = LbParams::Kernel::kReference;
-  const auto ref = runGatheredState(lattice, 4, params, 100, setBothIoletKinds);
-  expectStatesMatch(simd, ref, 1e-12);
+  for (const int ranks : {1, 2, 3, 4}) {
+    expectSimdMatchesReference(lattice, params, ranks, setBothIoletKinds);
+  }
 }
 
 TEST(SimdVsReference, SingleRankMatches) {
-  // One rank maximises the bulk segment, so the SIMD strips (not the
-  // scalar tail) carry nearly all sites.
-  const auto lattice = tube();
+  // One rank maximises the bulk segment, so the odd sweep's bulk strips
+  // carry nearly all sites.
   LbParams params;
   params.tau = 0.8;
   params.bodyForce = Vec3d{1e-5, 0, 0};
-
-  params.kernel = LbParams::Kernel::kSimd;
-  const auto simd = runGatheredState(lattice, 1, params, 100);
-  params.kernel = LbParams::Kernel::kReference;
-  const auto ref = runGatheredState(lattice, 1, params, 100);
-  expectStatesMatch(simd, ref, 1e-12);
+  expectSimdMatchesReference(tube(), params, 1);
 }
 
 TEST(SimdVsReference, StressFieldMatches) {
@@ -238,7 +281,34 @@ TEST(SimdVsReference, StressFieldMatches) {
   params.bodyForce = Vec3d{1e-5, 0, 0};
   params.computeStress = true;
   params.kernel = LbParams::Kernel::kSimd;
-  EXPECT_LE(maxStressMismatch(tube(), params, 3, 100), 1e-12);
+  const auto lattice = tube();
+  for (const int ranks : {1, 2, 3, 4}) {
+    const auto mismatch =
+        maxStressMismatches(lattice, params, ranks, kStepCounts);
+    for (std::size_t k = 0; k < kStepCounts.size(); ++k) {
+      EXPECT_LE(mismatch[k], 1e-12)
+          << ranks << " ranks, " << kStepCounts[k] << " steps";
+    }
+  }
+}
+
+TEST(SimdVsReference, OtherVelocitySetsMatch) {
+  // D3Q15 and D3Q27 run the same AA tables and vector collide.
+  const auto lattice = tube();
+  LbParams params;
+  params.tau = 0.8;
+  params.bodyForce = Vec3d{1e-5, 0, 0};
+  for (const int steps : {7, 100}) {
+    SCOPED_TRACE(steps);
+    params.kernel = LbParams::Kernel::kSimd;
+    const auto q15 = runGatheredState<D3Q15>(lattice, 3, params, steps);
+    const auto q27 = runGatheredState<D3Q27>(lattice, 3, params, steps);
+    params.kernel = LbParams::Kernel::kReference;
+    expectStatesMatch<D3Q15>(
+        q15, runGatheredState<D3Q15>(lattice, 3, params, steps), 1e-12);
+    expectStatesMatch<D3Q27>(
+        q27, runGatheredState<D3Q27>(lattice, 3, params, steps), 1e-12);
+  }
 }
 
 // --- conservation on the production kernel -----------------------------------
@@ -369,10 +439,19 @@ TEST(Reordering, ExternalIndexingUnchanged) {
       EXPECT_NEAR(solver.macro().rho[static_cast<std::size_t>(l)],
                   1.0 + 0.001 * w.x, 1e-14);
     }
-    // distribution()/setDistribution() round-trip in external order.
-    const auto f5 = solver.distribution(5);
-    solver.setDistribution(5, f5);
-    EXPECT_EQ(solver.distribution(5), f5);
+    // distribution()/setDistributions() round-trip in external order, from
+    // the AA layout one (even) step leaves behind.
+    solver.step();
+    ASSERT_TRUE(solver.oddParity());
+    std::vector<std::vector<double>> columns;
+    for (int i = 0; i < D3Q19::kQ; ++i) {
+      columns.push_back(solver.distribution(i));
+    }
+    solver.setDistributions(columns);
+    EXPECT_FALSE(solver.oddParity());
+    for (int i = 0; i < D3Q19::kQ; ++i) {
+      EXPECT_EQ(solver.distribution(i), columns[static_cast<std::size_t>(i)]);
+    }
   });
 }
 

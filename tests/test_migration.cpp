@@ -165,56 +165,63 @@ TEST(Migration, MigratedRunMatchesUnmigratedReference) {
     });
   }
 
-  // Migrated run: 10 steps, live migration under a skewed synthetic cost
-  // field, 10 more steps. State and octree context must match the
-  // reference to 1e-13 (the migration itself is bit-exact; the solver
-  // arithmetic per site is partition-independent).
-  GlobalState migrated(lat.numFluidSites());
-  std::vector<multires::OctreeNode> migratedNodes;
-  {
-    comm::Runtime rt(2);
-    rt.run([&](comm::Communicator& comm) {
-      lb::DomainMap domain(lat, part, comm.rank());
-      core::SimulationDriver driver(domain, comm, cfg);
-      driver.run(10);
-      const auto outcome = driver.migrateNow(skewedCosts(part));
-      EXPECT_TRUE(outcome.migrated);
-      EXPECT_GT(outcome.sitesMoved, 0u);
-      EXPECT_GT(outcome.imbalanceBefore, 1.10);
-      EXPECT_LT(outcome.imbalanceAfter, outcome.imbalanceBefore);
-      EXPECT_EQ(driver.migrationEpoch(), 1u);
-      EXPECT_EQ(driver.solver().stepsDone(), 10u);
-      // The driver now runs on its own rebuilt domain.
-      EXPECT_NE(&driver.domain(), &domain);
-      driver.run(10);
-      EXPECT_EQ(driver.solver().stepsDone(), 20u);
-      driver.runPipelineNow();
-      collectState(driver.domain(), driver.solver(), migrated);
-      if (comm.rank() == 0) {
-        migratedNodes = driver.lastOutputs().contextNodes;
-      }
-    });
-  }
-
-  for (int i = 0; i < lb::SolverD3Q19::kQ; ++i) {
-    for (std::size_t g = 0; g < reference.f[0].size(); ++g) {
-      ASSERT_NEAR(migrated.f[static_cast<std::size_t>(i)][g],
-                  reference.f[static_cast<std::size_t>(i)][g], 1e-13)
-          << "direction " << i << " site " << g;
+  // Migrated runs: live migration under a skewed synthetic cost field
+  // after 10 steps (even parity: canonical slab) and after 11 (odd parity:
+  // the solver's AA layout after an even step), then on to step 20. State
+  // and octree context must match the reference to 1e-13 (the migration
+  // itself is bit-exact; the solver arithmetic per site is partition- and
+  // parity-independent).
+  for (const int migrateAt : {10, 11}) {
+    SCOPED_TRACE(migrateAt);
+    GlobalState migrated(lat.numFluidSites());
+    std::vector<multires::OctreeNode> migratedNodes;
+    {
+      comm::Runtime rt(2);
+      rt.run([&](comm::Communicator& comm) {
+        lb::DomainMap domain(lat, part, comm.rank());
+        core::SimulationDriver driver(domain, comm, cfg);
+        driver.run(migrateAt);
+        EXPECT_EQ(driver.solver().oddParity(), migrateAt % 2 == 1);
+        const auto outcome = driver.migrateNow(skewedCosts(part));
+        EXPECT_TRUE(outcome.migrated);
+        EXPECT_GT(outcome.sitesMoved, 0u);
+        EXPECT_GT(outcome.imbalanceBefore, 1.10);
+        EXPECT_LT(outcome.imbalanceAfter, outcome.imbalanceBefore);
+        EXPECT_EQ(driver.migrationEpoch(), 1u);
+        EXPECT_EQ(driver.solver().stepsDone(),
+                  static_cast<std::uint64_t>(migrateAt));
+        // The driver now runs on its own rebuilt domain.
+        EXPECT_NE(&driver.domain(), &domain);
+        driver.run(20 - migrateAt);
+        EXPECT_EQ(driver.solver().stepsDone(), 20u);
+        driver.runPipelineNow();
+        collectState(driver.domain(), driver.solver(), migrated);
+        if (comm.rank() == 0) {
+          migratedNodes = driver.lastOutputs().contextNodes;
+        }
+      });
     }
-  }
-  for (std::size_t g = 0; g < reference.rho.size(); ++g) {
-    ASSERT_NEAR(migrated.rho[g], reference.rho[g], 1e-13);
-    ASSERT_NEAR((migrated.u[g] - reference.u[g]).norm(), 0.0, 1e-13);
-  }
-  // Octree ownership handoff: the cross-rank merged context is exact, so
-  // the rebuilt octree must reproduce the reference context node for node.
-  ASSERT_EQ(migratedNodes.size(), referenceNodes.size());
-  for (std::size_t i = 0; i < referenceNodes.size(); ++i) {
-    EXPECT_EQ(migratedNodes[i].key, referenceNodes[i].key);
-    EXPECT_EQ(migratedNodes[i].count, referenceNodes[i].count);
-    EXPECT_NEAR(migratedNodes[i].meanScalar, referenceNodes[i].meanScalar,
-                1e-6);
+
+    for (int i = 0; i < lb::SolverD3Q19::kQ; ++i) {
+      for (std::size_t g = 0; g < reference.f[0].size(); ++g) {
+        ASSERT_NEAR(migrated.f[static_cast<std::size_t>(i)][g],
+                    reference.f[static_cast<std::size_t>(i)][g], 1e-13)
+            << "direction " << i << " site " << g;
+      }
+    }
+    for (std::size_t g = 0; g < reference.rho.size(); ++g) {
+      ASSERT_NEAR(migrated.rho[g], reference.rho[g], 1e-13);
+      ASSERT_NEAR((migrated.u[g] - reference.u[g]).norm(), 0.0, 1e-13);
+    }
+    // Octree ownership handoff: the cross-rank merged context is exact, so
+    // the rebuilt octree must reproduce the reference context node for node.
+    ASSERT_EQ(migratedNodes.size(), referenceNodes.size());
+    for (std::size_t i = 0; i < referenceNodes.size(); ++i) {
+      EXPECT_EQ(migratedNodes[i].key, referenceNodes[i].key);
+      EXPECT_EQ(migratedNodes[i].count, referenceNodes[i].count);
+      EXPECT_NEAR(migratedNodes[i].meanScalar, referenceNodes[i].meanScalar,
+                  1e-6);
+    }
   }
 }
 

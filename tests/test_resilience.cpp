@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "comm/runtime.hpp"
@@ -321,22 +323,25 @@ TEST(Checkpoint, StripedWriteRestoresAcrossDifferentPartition) {
 
 TEST(Checkpoint, WriteAndRestoreBitExact) {
   // A checkpoint restores bit-exactly, and the restore is kernel-agnostic:
-  // the file a production-kernel run wrote reads back into a solver on
-  // either kernel with every distribution identical to the writer's.
+  // the file either kernel wrote reads back into a solver on either kernel
+  // with every distribution identical to the writer's. Writes at 10 steps
+  // (even parity) and 11 (odd parity: the production slab holds the AA
+  // layout of an even step) must both read the canonical populations, and
+  // a restored production run continues on the writer's trajectory.
   const auto lat = tubeLattice();
   const auto graph = partition::buildSiteGraph(lat);
-  auto params = tubeParams();
   const std::string dir = "/tmp/hemo_test_roundtrip_ckpt";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/run.hemockpt";
+  constexpr int kMoreSteps = 5;
 
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, 2);
 
+  using Columns = std::vector<std::vector<double>>;
   const auto gather = [&](const lb::SolverD3Q19& solver,
-                          const lb::DomainMap& domain,
-                          std::vector<std::vector<double>>& out) {
+                          const lb::DomainMap& domain, Columns& out) {
     for (int i = 0; i < 19; ++i) {
       const auto fi = solver.distribution(i);
       for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
@@ -345,36 +350,108 @@ TEST(Checkpoint, WriteAndRestoreBitExact) {
       }
     }
   };
+  const auto blank = [&] {
+    return Columns(19, std::vector<double>(lat.numFluidSites(), 0.0));
+  };
+  const auto maxDiff = [](const Columns& a, const Columns& b) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      for (std::size_t g = 0; g < a[i].size(); ++g) {
+        d = std::max(d, std::abs(a[i][g] - b[i][g]));
+      }
+    }
+    return d;
+  };
 
-  std::vector<std::vector<double>> written(
-      19, std::vector<double>(lat.numFluidSites(), 0.0));
-  {
-    comm::Runtime rt(2);
-    rt.run([&](comm::Communicator& comm) {
-      lb::DomainMap domain(lat, part, comm.rank());
-      lb::SolverD3Q19 solver(domain, comm, params);
-      solver.run(10);
-      lb::writeCheckpoint(path, solver, comm, {1});
-      gather(solver, domain, written);
-    });
-  }
+  using Kernel = lb::LbParams::Kernel;
+  for (const auto writer : {Kernel::kSimd, Kernel::kReference}) {
+    for (const int steps : {10, 11}) {
+      auto params = tubeParams();
+      params.kernel = writer;
+      SCOPED_TRACE(std::string("writer ") + params.kernelName() + ", step " +
+                   std::to_string(steps));
+      Columns written = blank();
+      Columns writerLater = blank();
+      {
+        comm::Runtime rt(2);
+        rt.run([&](comm::Communicator& comm) {
+          lb::DomainMap domain(lat, part, comm.rank());
+          lb::SolverD3Q19 solver(domain, comm, params);
+          solver.run(steps);
+          lb::writeCheckpoint(path, solver, comm, {1});
+          gather(solver, domain, written);
+          solver.run(kMoreSteps);
+          gather(solver, domain, writerLater);
+        });
+      }
 
-  for (const auto kernel :
-       {lb::LbParams::Kernel::kSimd, lb::LbParams::Kernel::kReference}) {
-    params.kernel = kernel;
-    std::vector<std::vector<double>> restored(
-        19, std::vector<double>(lat.numFluidSites(), 0.0));
-    comm::Runtime rt(2);
-    rt.run([&](comm::Communicator& comm) {
-      lb::DomainMap domain(lat, part, comm.rank());
-      lb::SolverD3Q19 solver(domain, comm, params);
-      const auto r = lb::readCheckpoint(path, solver, comm);
-      ASSERT_TRUE(r.ok()) << r.detail;
-      gather(solver, domain, restored);
-    });
-    EXPECT_EQ(restored, written) << params.kernelName();
+      for (const auto reader : {Kernel::kSimd, Kernel::kReference}) {
+        params.kernel = reader;
+        Columns restored = blank();
+        Columns restoredLater = blank();
+        comm::Runtime rt(2);
+        rt.run([&](comm::Communicator& comm) {
+          lb::DomainMap domain(lat, part, comm.rank());
+          lb::SolverD3Q19 solver(domain, comm, params);
+          const auto r = lb::readCheckpoint(path, solver, comm);
+          ASSERT_TRUE(r.ok()) << r.detail;
+          EXPECT_FALSE(solver.oddParity());
+          gather(solver, domain, restored);
+          solver.run(kMoreSteps);
+          gather(solver, domain, restoredLater);
+        });
+        EXPECT_EQ(restored, written) << "reader " << params.kernelName();
+        if (reader == writer) {
+          EXPECT_LE(maxDiff(restoredLater, writerLater), 1e-13)
+              << "reader " << params.kernelName();
+        }
+      }
+    }
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, RestoredMacroMatchesNextCollide) {
+  // After a restore, macro() must already hold the moments the next
+  // collide computes from the restored populations: the Guo half-force
+  // shift in u and a fresh stress field included. Restores at both
+  // parities of a body-forced run.
+  const auto lat = tubeLattice();
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(graph, 2);
+  auto params = tubeParams();
+  params.bodyForce = Vec3d{2e-4, 0, 0};
+  params.computeStress = true;
+
+  for (const int steps : {6, 7}) {
+    SCOPED_TRACE(steps);
+    comm::Runtime rt(2);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part, comm.rank());
+      lb::SolverD3Q19 writer(domain, comm, params);
+      writer.run(steps);
+      std::vector<std::vector<double>> columns;
+      for (int i = 0; i < 19; ++i) columns.push_back(writer.distribution(i));
+
+      lb::SolverD3Q19 solver(domain, comm, params);
+      solver.setDistributions(columns);
+      const lb::MacroFields restored = solver.macro();
+      solver.step();
+      const lb::MacroFields& next = solver.macro();
+      ASSERT_EQ(restored.rho.size(), next.rho.size());
+      ASSERT_EQ(restored.stress.size(), next.stress.size());
+      for (std::size_t l = 0; l < next.rho.size(); ++l) {
+        ASSERT_EQ(restored.rho[l], next.rho[l]) << "site " << l;
+        ASSERT_LE((restored.u[l] - next.u[l]).norm(), 1e-15) << "site " << l;
+        for (std::size_t c = 0; c < 6; ++c) {
+          ASSERT_LE(std::abs(restored.stress[l].m[c] - next.stress[l].m[c]),
+                    1e-15)
+              << "site " << l;
+        }
+      }
+    });
+  }
 }
 
 TEST(Checkpoint, RestoreLatestFallsBackPastCorruptedCheckpoint) {
