@@ -1,6 +1,7 @@
 #include "geometry/sparse_lattice.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace hemo::geometry {
 
@@ -31,25 +32,38 @@ void SparseLattice::finalize() {
   HEMO_CHECK(!finalized_);
   std::vector<std::uint64_t> keys;
   keys.reserve(building_.size());
-  for (const auto& [key, sites] : building_) keys.push_back(key);
+  std::size_t totalSites = 0;
+  for (const auto& [key, sites] : building_) {
+    keys.push_back(key);
+    totalSites += sites.size();
+  }
   std::sort(keys.begin(), keys.end());
+  HEMO_CHECK_MSG(keys.size() <= static_cast<std::size_t>(
+                                    std::numeric_limits<std::int32_t>::max()),
+                 "too many non-empty blocks: " << keys.size());
 
-  const std::size_t cube = static_cast<std::size_t>(blockSize_) *
-                           static_cast<std::size_t>(blockSize_) *
-                           static_cast<std::size_t>(blockSize_);
+  const std::size_t cube = blockVolume();
+  blockIndex_.assign(static_cast<std::size_t>(blockDims_.x) *
+                         static_cast<std::size_t>(blockDims_.y) *
+                         static_cast<std::size_t>(blockDims_.z),
+                     -1);
+  localToGlobal_.assign(keys.size() * cube, -1);
+  blocks_.reserve(keys.size());
+  positions_.reserve(totalSites);
+  records_.reserve(totalSites);
   std::uint64_t nextId = 0;
   for (const auto key : keys) {
-    auto& sites = building_[key];
-    std::sort(sites.begin(), sites.end(),
-              [](const BuildSite& a, const BuildSite& b) {
-                return a.local < b.local;
-              });
-    for (std::size_t i = 1; i < sites.size(); ++i) {
-      HEMO_CHECK_MSG(sites[i].local != sites[i - 1].local,
-                     "duplicate fluid site at " << sites[i].pos);
+    auto& sites = building_.at(key);
+    const std::size_t block = blocks_.size();
+    std::int64_t* table = localToGlobal_.data() + block * cube;
+    // Place by local index: the table first holds each site's index in
+    // `sites` (a second claim on a slot is a duplicate), then, in ascending
+    // local order, its global id.
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      auto& slot = table[static_cast<std::size_t>(sites[i].local)];
+      HEMO_CHECK_MSG(slot < 0, "duplicate fluid site at " << sites[i].pos);
+      slot = static_cast<std::int64_t>(i);
     }
-    StoredBlock stored;
-    stored.localToGlobal.assign(cube, -1);
 
     BlockInfo info;
     const auto bx = key % static_cast<std::uint64_t>(blockDims_.x);
@@ -60,32 +74,21 @@ void SparseLattice::finalize() {
     info.fluidCount = static_cast<std::uint32_t>(sites.size());
     info.firstSiteId = nextId;
 
-    for (const auto& s : sites) {
-      stored.localToGlobal[static_cast<std::size_t>(s.local)] =
-          static_cast<std::int64_t>(nextId);
+    for (std::size_t local = 0; local < cube; ++local) {
+      if (table[local] < 0) continue;
+      auto& s = sites[static_cast<std::size_t>(table[local])];
+      table[local] = static_cast<std::int64_t>(nextId++);
       positions_.push_back(s.pos);
-      records_.push_back(s.record);
+      records_.push_back(std::move(s.record));
       fluidBounds_.expand(s.pos);
-      ++nextId;
     }
-    blockMap_.emplace(key, std::move(stored));
+    blockIndex_[static_cast<std::size_t>(key)] =
+        static_cast<std::int32_t>(block);
     blocks_.push_back(info);
+    std::vector<BuildSite>().swap(sites);  // free the build copy as we go
   }
   building_.clear();
   finalized_ = true;
-}
-
-std::int64_t SparseLattice::siteId(const Vec3i& pos) const {
-  HEMO_CHECK(finalized_);
-  if (pos.x < 0 || pos.x >= dims_.x || pos.y < 0 || pos.y >= dims_.y ||
-      pos.z < 0 || pos.z >= dims_.z) {
-    return -1;
-  }
-  const Vec3i bc{pos.x / blockSize_, pos.y / blockSize_, pos.z / blockSize_};
-  const auto it = blockMap_.find(blockLinear(bc));
-  if (it == blockMap_.end()) return -1;
-  const Vec3i in{pos.x % blockSize_, pos.y % blockSize_, pos.z % blockSize_};
-  return it->second.localToGlobal[static_cast<std::size_t>(localLinear(in))];
 }
 
 std::size_t SparseLattice::blockOfSite(std::uint64_t id) const {

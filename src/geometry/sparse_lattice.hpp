@@ -59,8 +59,22 @@ class SparseLattice {
   std::uint64_t numFluidSites() const { return positions_.size(); }
   std::size_t numNonEmptyBlocks() const { return blocks_.size(); }
 
-  /// Global fluid id at a lattice position, or -1 if solid/outside.
-  std::int64_t siteId(const Vec3i& pos) const;
+  /// Global fluid id at a lattice position, or -1 if solid/outside. O(1):
+  /// the dense block index, then the block's local table.
+  std::int64_t siteId(const Vec3i& pos) const {
+    HEMO_CHECK(finalized_);
+    if (pos.x < 0 || pos.x >= dims_.x || pos.y < 0 || pos.y >= dims_.y ||
+        pos.z < 0 || pos.z >= dims_.z) {
+      return -1;
+    }
+    const Vec3i bc{pos.x / blockSize_, pos.y / blockSize_, pos.z / blockSize_};
+    const std::int32_t block =
+        blockIndex_[static_cast<std::size_t>(blockLinear(bc))];
+    if (block < 0) return -1;
+    const Vec3i in{pos.x % blockSize_, pos.y % blockSize_, pos.z % blockSize_};
+    return localToGlobal_[static_cast<std::size_t>(block) * blockVolume() +
+                          static_cast<std::size_t>(localLinear(in))];
+  }
 
   const Vec3i& sitePosition(std::uint64_t id) const {
     return positions_[static_cast<std::size_t>(id)];
@@ -112,10 +126,11 @@ class SparseLattice {
   }
 
  private:
-  struct StoredBlock {
-    /// Dense localLinear -> global fluid id table (-1 = solid); size B³.
-    std::vector<std::int64_t> localToGlobal;
-  };
+  std::size_t blockVolume() const {
+    return static_cast<std::size_t>(blockSize_) *
+           static_cast<std::size_t>(blockSize_) *
+           static_cast<std::size_t>(blockSize_);
+  }
 
   Vec3i dims_;
   double voxelSize_;
@@ -134,7 +149,12 @@ class SparseLattice {
 
   // Finalized storage.
   bool finalized_ = false;
-  std::unordered_map<std::uint64_t, StoredBlock> blockMap_;
+  /// Dense index over the whole block grid, by blockLinear: the block's
+  /// position in blocks_, or -1 for an empty block (4 B per box block).
+  std::vector<std::int32_t> blockIndex_;
+  /// localLinear -> global fluid id (-1 = solid) of every stored block, B³
+  /// entries per block in blocks_ order.
+  std::vector<std::int64_t> localToGlobal_;
   std::vector<BlockInfo> blocks_;
   std::vector<Vec3i> positions_;
   std::vector<SiteRecord> records_;

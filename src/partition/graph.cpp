@@ -1,6 +1,9 @@
 #include "partition/graph.hpp"
 
+#include <numeric>
+
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace hemo::partition {
 
@@ -8,19 +11,35 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
   HEMO_CHECK(lattice.finalized());
   SiteGraph g;
   g.numVertices = lattice.numFluidSites();
-  g.xadj.reserve(static_cast<std::size_t>(g.numVertices) + 1);
-  g.xadj.push_back(0);
-  g.vertexWeight.assign(static_cast<std::size_t>(g.numVertices), 1.0);
-  g.coords.reserve(static_cast<std::size_t>(g.numVertices));
+  const auto n = static_cast<std::size_t>(g.numVertices);
+  g.xadj.assign(n + 1, 0);
+  g.vertexWeight.assign(n, 1.0);
+  g.coords.resize(n);
 
-  for (std::uint64_t v = 0; v < g.numVertices; ++v) {
-    g.coords.push_back(lattice.sitePosition(v));
-    for (int d = 0; d < geometry::kNumDirections; ++d) {
-      const auto n = lattice.neighborId(v, d);
-      if (n >= 0) g.adjncy.push_back(static_cast<std::uint64_t>(n));
+  // Two passes over contiguous site ranges: count each site's fluid
+  // neighbours (a prefix sum turns the counts into xadj), then fill every
+  // row in place, in direction order.
+  parallelFor(n, [&](std::uint64_t begin, std::uint64_t end) {
+    for (auto v = begin; v < end; ++v) {
+      g.coords[static_cast<std::size_t>(v)] = lattice.sitePosition(v);
+      std::uint64_t degree = 0;
+      for (int d = 0; d < geometry::kNumDirections; ++d) {
+        if (lattice.neighborId(v, d) >= 0) ++degree;
+      }
+      g.xadj[static_cast<std::size_t>(v) + 1] = degree;
     }
-    g.xadj.push_back(g.adjncy.size());
-  }
+  });
+  std::partial_sum(g.xadj.begin(), g.xadj.end(), g.xadj.begin());
+  g.adjncy.resize(static_cast<std::size_t>(g.xadj[n]));
+  parallelFor(n, [&](std::uint64_t begin, std::uint64_t end) {
+    for (auto v = begin; v < end; ++v) {
+      auto out = static_cast<std::size_t>(g.xadj[static_cast<std::size_t>(v)]);
+      for (int d = 0; d < geometry::kNumDirections; ++d) {
+        const auto u = lattice.neighborId(v, d);
+        if (u >= 0) g.adjncy[out++] = static_cast<std::uint64_t>(u);
+      }
+    }
+  });
   return g;
 }
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
-#include <unordered_map>
 
 #include "util/bbox.hpp"
 #include "util/check.hpp"
 #include "util/hilbert.hpp"
 #include "util/morton.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hemo::partition {
@@ -39,6 +39,53 @@ void assignContiguousByWeight(const std::vector<std::uint64_t>& order,
       target = remaining / (numParts - part);
     }
   }
+}
+
+/// Greedy graph growing over a CSR graph (SiteGraph or the coarsest k-way
+/// level): parts are grown one at a time by BFS from the lowest-id
+/// unassigned vertex until each reaches its share of the remaining weight.
+template <typename Graph>
+std::vector<int> greedyGrow(const Graph& g, int numParts) {
+  const std::size_t n = g.vertexWeight.size();
+  std::vector<int> partOf(n, -1);
+  double remaining = 0.0;
+  for (const double w : g.vertexWeight) remaining += w;
+  int part = 0;
+  double inPart = 0.0;
+  double target = remaining / numParts;
+  std::queue<std::uint64_t> frontier;
+  std::size_t seedScan = 0;
+  std::size_t assigned = 0;
+  auto assign = [&](std::uint64_t v) {
+    partOf[static_cast<std::size_t>(v)] = part;
+    const double w = g.vertexWeight[static_cast<std::size_t>(v)];
+    inPart += w;
+    remaining -= w;
+    for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
+         e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
+      const auto u = g.adjncy[static_cast<std::size_t>(e)];
+      if (partOf[static_cast<std::size_t>(u)] < 0) frontier.push(u);
+    }
+    if (inPart >= target && part + 1 < numParts) {
+      ++part;
+      inPart = 0.0;
+      target = remaining / (numParts - part);
+    }
+    ++assigned;
+  };
+  while (assigned < n) {
+    if (frontier.empty()) {
+      // Seed (or re-seed after a disconnected component) from the lowest
+      // unassigned id, as HemeLB's basic growing decomposition does.
+      while (partOf[seedScan] >= 0) ++seedScan;
+      assign(seedScan);
+      continue;
+    }
+    const auto v = frontier.front();
+    frontier.pop();
+    if (partOf[static_cast<std::size_t>(v)] < 0) assign(v);
+  }
+  return partOf;
 }
 
 }  // namespace
@@ -196,50 +243,7 @@ Partition GreedyGrowingPartitioner::partition(const SiteGraph& graph,
                                               int numParts) const {
   Partition p;
   p.numParts = numParts;
-  p.partOfSite.assign(static_cast<std::size_t>(graph.numVertices), -1);
-
-  double remaining = graph.totalWeight();
-  int part = 0;
-  double inPart = 0.0;
-  double target = remaining / numParts;
-  std::queue<std::uint64_t> frontier;
-  std::uint64_t nextSeedScan = 0;
-
-  auto assign = [&](std::uint64_t v) {
-    p.partOfSite[static_cast<std::size_t>(v)] = part;
-    const double w = graph.vertexWeight[static_cast<std::size_t>(v)];
-    inPart += w;
-    remaining -= w;
-    for (std::uint64_t e = graph.xadj[static_cast<std::size_t>(v)];
-         e < graph.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto n = graph.adjncy[static_cast<std::size_t>(e)];
-      if (p.partOfSite[static_cast<std::size_t>(n)] < 0) frontier.push(n);
-    }
-    if (inPart >= target && part + 1 < numParts) {
-      ++part;
-      inPart = 0.0;
-      target = remaining / (numParts - part);
-    }
-  };
-
-  std::uint64_t assigned = 0;
-  while (assigned < graph.numVertices) {
-    if (frontier.empty()) {
-      // Seed (or re-seed after a disconnected component) from the lowest
-      // unassigned id, as HemeLB's basic growing decomposition does.
-      while (p.partOfSite[static_cast<std::size_t>(nextSeedScan)] >= 0) {
-        ++nextSeedScan;
-      }
-      assign(nextSeedScan);
-      ++assigned;
-      continue;
-    }
-    const auto v = frontier.front();
-    frontier.pop();
-    if (p.partOfSite[static_cast<std::size_t>(v)] >= 0) continue;
-    assign(v);
-    ++assigned;
-  }
+  p.partOfSite = greedyGrow(graph, numParts);
   return p;
 }
 
@@ -247,38 +251,45 @@ Partition GreedyGrowingPartitioner::partition(const SiteGraph& graph,
 
 namespace {
 
-/// Internal weighted graph used across coarsening levels.
+/// A coarse level: the contracted graph with merged edge weights. The
+/// finest level is the SiteGraph itself, whose edges all weigh 1.
 struct WGraph {
   std::vector<std::uint64_t> xadj;
   std::vector<std::uint64_t> adjncy;
   std::vector<double> edgeWeight;
   std::vector<double> vertexWeight;
-
-  std::uint64_t numVertices() const { return xadj.size() - 1; }
 };
 
-WGraph toWGraph(const SiteGraph& g) {
-  WGraph w;
-  w.xadj = g.xadj;
-  w.adjncy = g.adjncy;
-  w.edgeWeight.assign(g.adjncy.size(), 1.0);
-  w.vertexWeight = g.vertexWeight;
-  return w;
-}
+std::uint64_t numVerticesOf(const SiteGraph& g) { return g.numVertices; }
+std::uint64_t numVerticesOf(const WGraph& g) { return g.xadj.size() - 1; }
+double edgeWeightOf(const SiteGraph&, std::size_t) { return 1.0; }
+double edgeWeightOf(const WGraph& g, std::size_t e) { return g.edgeWeight[e]; }
 
-/// Heavy-edge matching; returns fine->coarse map and the coarse count.
-std::pair<std::vector<std::uint64_t>, std::uint64_t> heavyEdgeMatch(
-    const WGraph& g, Rng& rng) {
-  const auto n = g.numVertices();
+/// A heavy-edge matching of one level: each coarse vertex is a matched pair
+/// of fine vertices, or one fine vertex left unmatched.
+struct Matching {
+  /// Fine vertex -> coarse vertex.
+  std::vector<std::uint64_t> coarseOf;
+  /// Fine vertex -> the fine vertex it is matched with (itself if none).
+  std::vector<std::uint64_t> partner;
+  std::uint64_t coarseCount = 0;
+};
+
+/// Heavy-edge matching in a seeded random visit order; coarse ids follow
+/// that order.
+template <typename Graph>
+Matching heavyEdgeMatch(const Graph& g, Rng& rng) {
+  const auto n = numVerticesOf(g);
   std::vector<std::uint64_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.uniformInt(i)]);
   }
   constexpr std::uint64_t kUnmatched = ~0ULL;
-  std::vector<std::uint64_t> match(static_cast<std::size_t>(n), kUnmatched);
-  std::vector<std::uint64_t> coarseOf(static_cast<std::size_t>(n));
-  std::uint64_t coarseCount = 0;
+  Matching m;
+  auto& match = m.partner;
+  match.assign(static_cast<std::size_t>(n), kUnmatched);
+  m.coarseOf.resize(static_cast<std::size_t>(n));
   for (const auto v : order) {
     if (match[static_cast<std::size_t>(v)] != kUnmatched) continue;
     std::uint64_t best = v;
@@ -286,112 +297,107 @@ std::pair<std::vector<std::uint64_t>, std::uint64_t> heavyEdgeMatch(
     for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
          e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
       const auto u = g.adjncy[static_cast<std::size_t>(e)];
+      const double w = edgeWeightOf(g, static_cast<std::size_t>(e));
       if (u != v && match[static_cast<std::size_t>(u)] == kUnmatched &&
-          g.edgeWeight[static_cast<std::size_t>(e)] > bestW) {
-        bestW = g.edgeWeight[static_cast<std::size_t>(e)];
+          w > bestW) {
+        bestW = w;
         best = u;
       }
     }
     match[static_cast<std::size_t>(v)] = best;
     match[static_cast<std::size_t>(best)] = v;
-    coarseOf[static_cast<std::size_t>(v)] = coarseCount;
-    coarseOf[static_cast<std::size_t>(best)] = coarseCount;
-    ++coarseCount;
+    m.coarseOf[static_cast<std::size_t>(v)] = m.coarseCount;
+    m.coarseOf[static_cast<std::size_t>(best)] = m.coarseCount;
+    ++m.coarseCount;
   }
-  return {std::move(coarseOf), coarseCount};
+  return m;
 }
 
-WGraph buildCoarse(const WGraph& fine, const std::vector<std::uint64_t>& coarseOf,
-                   std::uint64_t coarseCount) {
+/// Contract a matching into the coarse graph, written straight into CSR.
+/// Coarse rows are independent, so they are built in parallel in two passes:
+/// the first counts each row's distinct coarse neighbours and a prefix sum
+/// turns the counts into xadj, the second fills each row in place, parallel
+/// edges merged and sorted by coarse id. Each row is built by the thread
+/// that owns its lower fine member, so the threads walk the fine graph in
+/// id order. Edge weights start at 1 and only ever add, so every coarse
+/// weight is an integer held exactly and the merge order cannot change it:
+/// the coarse graph does not depend on the thread count.
+template <typename Graph>
+WGraph buildCoarse(const Graph& fine, const Matching& m) {
+  const auto n = static_cast<std::size_t>(m.coarseCount);
   WGraph c;
-  c.vertexWeight.assign(static_cast<std::size_t>(coarseCount), 0.0);
-  std::vector<std::vector<std::pair<std::uint64_t, double>>> adj(
-      static_cast<std::size_t>(coarseCount));
-  for (std::uint64_t v = 0; v < fine.numVertices(); ++v) {
-    const auto cv = coarseOf[static_cast<std::size_t>(v)];
-    c.vertexWeight[static_cast<std::size_t>(cv)] +=
-        fine.vertexWeight[static_cast<std::size_t>(v)];
-    for (std::uint64_t e = fine.xadj[static_cast<std::size_t>(v)];
-         e < fine.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto cu = coarseOf[static_cast<std::size_t>(
-          fine.adjncy[static_cast<std::size_t>(e)])];
-      if (cu == cv) continue;
-      adj[static_cast<std::size_t>(cv)].push_back(
-          {cu, fine.edgeWeight[static_cast<std::size_t>(e)]});
-    }
-  }
-  c.xadj.push_back(0);
-  for (auto& edges : adj) {
-    std::sort(edges.begin(), edges.end());
-    // Merge parallel edges (weights add).
-    std::size_t i = 0;
-    while (i < edges.size()) {
-      std::uint64_t u = edges[i].first;
-      double w = 0.0;
-      while (i < edges.size() && edges[i].first == u) {
-        w += edges[i].second;
-        ++i;
-      }
-      c.adjncy.push_back(u);
-      c.edgeWeight.push_back(w);
-    }
-    c.xadj.push_back(c.adjncy.size());
-  }
-  return c;
-}
+  c.vertexWeight.resize(n);
+  c.xadj.assign(n + 1, 0);
 
-/// Greedy growing on a weighted internal graph (initial coarse partition).
-std::vector<int> greedyGrowWGraph(const WGraph& g, int numParts) {
-  const auto n = g.numVertices();
-  std::vector<int> partOf(static_cast<std::size_t>(n), -1);
-  double remaining = 0.0;
-  for (double w : g.vertexWeight) remaining += w;
-  int part = 0;
-  double inPart = 0.0;
-  double target = remaining / numParts;
-  std::queue<std::uint64_t> frontier;
-  std::uint64_t seedScan = 0;
-  std::uint64_t assigned = 0;
-  auto assign = [&](std::uint64_t v) {
-    partOf[static_cast<std::size_t>(v)] = part;
-    const double w = g.vertexWeight[static_cast<std::size_t>(v)];
-    inPart += w;
-    remaining -= w;
-    for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
-         e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-      const auto u = g.adjncy[static_cast<std::size_t>(e)];
-      if (partOf[static_cast<std::size_t>(u)] < 0) frontier.push(u);
-    }
-    if (inPart >= target && part + 1 < numParts) {
-      ++part;
-      inPart = 0.0;
-      target = remaining / (numParts - part);
-    }
+  // Calls rowFn(cv, v, partner, row) for every coarse row cv whose lower
+  // fine member v lies in a chunk of the fine ids, with the row's merged
+  // (coarse neighbour, weight) entries in first-seen order. slotOf[cu] is
+  // cu's index in `row` while cu is in the current row; a stale index from
+  // an earlier row fails the row[s] check, so the table never needs clearing.
+  auto forEachRow = [&](auto&& rowFn) {
+    parallelFor(numVerticesOf(fine), [&](std::uint64_t begin,
+                                         std::uint64_t end) {
+      std::vector<std::uint32_t> slotOf(n, 0);
+      std::vector<std::pair<std::uint64_t, double>> row;
+      auto gather = [&](std::size_t f, std::uint64_t cv) {
+        for (auto e = static_cast<std::size_t>(fine.xadj[f]);
+             e < fine.xadj[f + 1]; ++e) {
+          const auto cu = m.coarseOf[static_cast<std::size_t>(fine.adjncy[e])];
+          if (cu == cv) continue;
+          const double w = edgeWeightOf(fine, e);
+          const auto s = slotOf[static_cast<std::size_t>(cu)];
+          if (s < row.size() && row[s].first == cu) {
+            row[s].second += w;
+          } else {
+            slotOf[static_cast<std::size_t>(cu)] =
+                static_cast<std::uint32_t>(row.size());
+            row.emplace_back(cu, w);
+          }
+        }
+      };
+      for (auto v = static_cast<std::size_t>(begin); v < end; ++v) {
+        const auto partner = static_cast<std::size_t>(m.partner[v]);
+        if (partner < v) continue;
+        const auto cv = m.coarseOf[v];
+        row.clear();
+        gather(v, cv);
+        if (partner != v) gather(partner, cv);
+        rowFn(static_cast<std::size_t>(cv), v, partner, row);
+      }
+    });
   };
-  while (assigned < n) {
-    if (frontier.empty()) {
-      while (partOf[static_cast<std::size_t>(seedScan)] >= 0) ++seedScan;
-      assign(seedScan);
-      ++assigned;
-      continue;
+
+  forEachRow([&](std::size_t cv, std::size_t v, std::size_t partner,
+                 const auto& row) {
+    c.vertexWeight[cv] = fine.vertexWeight[v];
+    if (partner != v) c.vertexWeight[cv] += fine.vertexWeight[partner];
+    c.xadj[cv + 1] = row.size();
+  });
+  std::partial_sum(c.xadj.begin(), c.xadj.end(), c.xadj.begin());
+  c.adjncy.resize(static_cast<std::size_t>(c.xadj[n]));
+  c.edgeWeight.resize(static_cast<std::size_t>(c.xadj[n]));
+  forEachRow([&](std::size_t cv, std::size_t, std::size_t, auto& row) {
+    std::sort(row.begin(), row.end());
+    auto out = static_cast<std::size_t>(c.xadj[cv]);
+    for (const auto& [cu, w] : row) {
+      c.adjncy[out] = cu;
+      c.edgeWeight[out] = w;
+      ++out;
     }
-    const auto v = frontier.front();
-    frontier.pop();
-    if (partOf[static_cast<std::size_t>(v)] >= 0) continue;
-    assign(v);
-    ++assigned;
-  }
-  return partOf;
+  });
+  return c;
 }
 
 /// Boundary KL/FM-style refinement sweeps; improves edge cut under a
 /// balance constraint and never empties a part.
-void refine(const WGraph& g, std::vector<int>& partOf, int numParts,
+template <typename Graph>
+void refine(const Graph& g, std::vector<int>& partOf, int numParts,
             double tolerance, int passes) {
+  const auto n = numVerticesOf(g);
   std::vector<double> loads(static_cast<std::size_t>(numParts), 0.0);
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(numParts), 0);
   double total = 0.0;
-  for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
+  for (std::uint64_t v = 0; v < n; ++v) {
     const auto p = static_cast<std::size_t>(partOf[static_cast<std::size_t>(v)]);
     loads[p] += g.vertexWeight[static_cast<std::size_t>(v)];
     counts[p] += 1;
@@ -402,20 +408,25 @@ void refine(const WGraph& g, std::vector<int>& partOf, int numParts,
   std::vector<double> connect(static_cast<std::size_t>(numParts), 0.0);
   for (int pass = 0; pass < passes; ++pass) {
     bool moved = false;
-    for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
+    for (std::uint64_t v = 0; v < n; ++v) {
       const int own = partOf[static_cast<std::size_t>(v)];
       if (counts[static_cast<std::size_t>(own)] <= 1) continue;
-      std::fill(connect.begin(), connect.end(), 0.0);
+      const auto first =
+          static_cast<std::size_t>(g.xadj[static_cast<std::size_t>(v)]);
+      const auto last =
+          static_cast<std::size_t>(g.xadj[static_cast<std::size_t>(v) + 1]);
+      // Interior vertices (every neighbour in the own part) cannot move.
       bool boundary = false;
-      for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
-           e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
-        const int np = partOf[static_cast<std::size_t>(
-            g.adjncy[static_cast<std::size_t>(e)])];
-        connect[static_cast<std::size_t>(np)] +=
-            g.edgeWeight[static_cast<std::size_t>(e)];
-        if (np != own) boundary = true;
+      for (std::size_t e = first; e < last && !boundary; ++e) {
+        boundary = partOf[static_cast<std::size_t>(g.adjncy[e])] != own;
       }
       if (!boundary) continue;
+      std::fill(connect.begin(), connect.end(), 0.0);
+      for (std::size_t e = first; e < last; ++e) {
+        connect[static_cast<std::size_t>(
+            partOf[static_cast<std::size_t>(g.adjncy[e])])] +=
+            edgeWeightOf(g, e);
+      }
       const double w = g.vertexWeight[static_cast<std::size_t>(v)];
       int bestPart = own;
       double bestGain = 0.0;
@@ -455,35 +466,45 @@ Partition MultilevelKWayPartitioner::partition(const SiteGraph& graph,
   Partition result;
   result.numParts = numParts;
 
-  // Coarsening chain.
-  std::vector<WGraph> levels;
+  // Coarsening chain. Level 0 is the site graph itself; level k > 0 is
+  // coarse[k - 1], contracted from level k - 1 through coarseMaps[k - 1].
+  std::vector<WGraph> coarse;
   std::vector<std::vector<std::uint64_t>> coarseMaps;
-  levels.push_back(toWGraph(graph));
+  auto onLevel = [&](std::size_t k, auto&& fn) {
+    return k == 0 ? fn(graph) : fn(coarse[k - 1]);
+  };
   Rng rng(options_.seed);
   const std::uint64_t coarseTarget =
       options_.coarsestVerticesPerPart * static_cast<std::uint64_t>(numParts);
-  while (levels.back().numVertices() > coarseTarget) {
-    auto [coarseOf, count] = heavyEdgeMatch(levels.back(), rng);
+  for (;;) {
+    const std::size_t top = coarse.size();
+    const auto n = onLevel(top, [](const auto& g) { return numVerticesOf(g); });
+    if (n <= coarseTarget) break;
+    Matching matching =
+        onLevel(top, [&](const auto& g) { return heavyEdgeMatch(g, rng); });
     // Matching stalled (e.g. star graphs): stop coarsening.
-    if (count > levels.back().numVertices() * 9 / 10) break;
-    WGraph coarse = buildCoarse(levels.back(), coarseOf, count);
-    coarseMaps.push_back(std::move(coarseOf));
-    levels.push_back(std::move(coarse));
+    if (matching.coarseCount > n * 9 / 10) break;
+    coarse.push_back(
+        onLevel(top, [&](const auto& g) { return buildCoarse(g, matching); }));
+    coarseMaps.push_back(std::move(matching.coarseOf));
   }
 
   // Initial partition on the coarsest graph, then uncoarsen + refine.
-  std::vector<int> partOf = greedyGrowWGraph(levels.back(), numParts);
-  refine(levels.back(), partOf, numParts, options_.imbalanceTolerance,
-         options_.refinementPasses);
-  for (std::size_t level = coarseMaps.size(); level-- > 0;) {
-    const auto& map = coarseMaps[level];
+  std::size_t level = coarse.size();
+  std::vector<int> partOf =
+      onLevel(level, [&](const auto& g) { return greedyGrow(g, numParts); });
+  for (;;) {
+    onLevel(level, [&](const auto& g) {
+      refine(g, partOf, numParts, options_.imbalanceTolerance,
+             options_.refinementPasses);
+    });
+    if (level == 0) break;
+    const auto& map = coarseMaps[--level];
     std::vector<int> finer(map.size());
     for (std::size_t v = 0; v < map.size(); ++v) {
       finer[v] = partOf[static_cast<std::size_t>(map[v])];
     }
     partOf = std::move(finer);
-    refine(levels[level], partOf, numParts, options_.imbalanceTolerance,
-           options_.refinementPasses);
   }
   result.partOfSite = std::move(partOf);
   return result;

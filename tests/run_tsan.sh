@@ -6,7 +6,9 @@
 # racing in-flight messages, receives scattered into the slab), the
 # telemetry SPSC trace ring (rank thread producing, driver/test draining),
 # and the serving broker (N client threads subscribing/receiving against
-# the rank-0 serving thread) are exactly the kind of code TSan can vet.
+# the rank-0 serving thread) are exactly the kind of code TSan can vet. The
+# partitioner and site-graph tests join because their CSR builds run on
+# parallelFor worker threads (util/parallel.hpp).
 # Usage: tests/run_tsan.sh [build-dir]
 # Also registered under `ctest -L sanitize` when -DHEMO_SANITIZE_TESTS=ON.
 set -euo pipefail
@@ -18,7 +20,8 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHEMO_SANITIZE=thread
 cmake --build "$build_dir" -j --target test_lb test_lb_fused test_telemetry \
-  test_serve test_relay test_resilience test_recovery test_migration
+  test_serve test_relay test_resilience test_recovery test_migration \
+  test_partition test_geometry
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_lb"
@@ -29,4 +32,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_resilience"
 "$build_dir/tests/test_recovery"
 "$build_dir/tests/test_migration"
+"$build_dir/tests/test_partition"
+"$build_dir/tests/test_geometry"
 echo "TSan run clean."

@@ -9,7 +9,9 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "comm/runtime.hpp"
 #include "util/check.hpp"
@@ -209,6 +211,50 @@ TEST_F(LatticeTest, BentTubeConnectsLimbs) {
   const auto lat = voxelize(makeBentTube(3.0, 4.0, 1.5707963, 1.0), opt);
   EXPECT_GT(lat.numFluidSites(), 500u);
   EXPECT_EQ(lat.iolets().size(), 2u);
+}
+
+TEST(SparseLattice, SiteIdMatchesBruteForce) {
+  // Dims that are not a multiple of the block size (partial blocks on the
+  // high faces) and a fill pattern that leaves whole blocks empty.
+  const Vec3i dims{19, 13, 11};
+  const int blockSize = 4;
+  SparseLattice lat(dims, 1.0, Vec3d{0.0, 0.0, 0.0}, blockSize);
+  std::set<std::tuple<int, int, int>> fluid;
+  for (int z = 0; z < dims.z; ++z) {
+    for (int y = 0; y < dims.y; ++y) {
+      for (int x = 0; x < dims.x; ++x) {
+        if (x / blockSize == 2 || (y / blockSize == 1 && z / blockSize == 0)) {
+          continue;
+        }
+        if ((x * 7 + y * 13 + z * 5) % 3 == 0) continue;
+        lat.addFluidSite({x, y, z}, SiteRecord{});
+        fluid.insert({x, y, z});
+      }
+    }
+  }
+  lat.finalize();
+  ASSERT_EQ(lat.numFluidSites(), fluid.size());
+  const auto totalBlocks = static_cast<std::size_t>(lat.blockDims().x) *
+                           static_cast<std::size_t>(lat.blockDims().y) *
+                           static_cast<std::size_t>(lat.blockDims().z);
+  ASSERT_LT(lat.numNonEmptyBlocks(), totalBlocks);
+
+  std::map<std::tuple<int, int, int>, std::int64_t> idOf;
+  for (std::uint64_t id = 0; id < lat.numFluidSites(); ++id) {
+    const Vec3i& p = lat.sitePosition(id);
+    ASSERT_TRUE(fluid.count({p.x, p.y, p.z}));
+    idOf[{p.x, p.y, p.z}] = static_cast<std::int64_t>(id);
+  }
+  ASSERT_EQ(idOf.size(), fluid.size());
+  for (int z = -1; z <= dims.z; ++z) {
+    for (int y = -1; y <= dims.y; ++y) {
+      for (int x = -1; x <= dims.x; ++x) {
+        const auto it = idOf.find({x, y, z});
+        const std::int64_t expected = it == idOf.end() ? -1 : it->second;
+        ASSERT_EQ(lat.siteId({x, y, z}), expected) << x << "," << y << "," << z;
+      }
+    }
+  }
 }
 
 TEST(Sgmy, RoundTripPreservesEverything) {

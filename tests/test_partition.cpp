@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
@@ -140,6 +142,57 @@ TEST_F(PartitionFixture, KWayIsDeterministic) {
   const auto pa = a.partition(*graph_, 4);
   const auto pb = b.partition(*graph_, 4);
   EXPECT_EQ(pa.partOfSite, pb.partOfSite);
+}
+
+/// FNV-1a over the part of every site, in site order.
+std::uint64_t partitionDigest(const Partition& p) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const int part : p.partOfSite) {
+    const auto u = static_cast<std::uint32_t>(part);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST_F(PartitionFixture, KWayPartitionIsBitIdentical) {
+  // Golden digests of the fixture partitions: speed work on the
+  // partitioners must not change which site lands on which part.
+  const std::pair<int, std::uint64_t> kway[] = {
+      {2, 0xc3e719cd949e4385ULL},
+      {3, 0xc253353ec67b5f24ULL},
+      {4, 0xba66ce9c6ca11f84ULL},
+      {7, 0x1fe7ed714276df80ULL},
+      {8, 0x9e0a02d49065f895ULL}};
+  MultilevelKWayPartitioner partitioner;
+  for (const auto& [parts, digest] : kway) {
+    EXPECT_EQ(partitionDigest(partitioner.partition(*graph_, parts)), digest)
+        << "kway, " << parts << " parts";
+  }
+  // Non-unit vertex weights (vis-aware balance) go through the coarse
+  // vertex-weight sums.
+  SiteGraph weighted = *graph_;
+  for (std::uint64_t v = 0; v < weighted.numVertices; ++v) {
+    weighted.vertexWeight[v] = 1.0 + 0.125 * static_cast<double>(v % 7);
+  }
+  EXPECT_EQ(partitionDigest(partitioner.partition(weighted, 4)),
+            0xe8624158ccf40324ULL)
+      << "kway, weighted, 4 parts";
+  // A finer lattice (~43k sites), large enough that the site graph and the
+  // first coarse levels are built on several threads.
+  geometry::VoxelizeOptions fine;
+  fine.voxelSize = 0.08;
+  const SiteGraph big = buildSiteGraph(geometry::voxelize(
+      geometry::makeAneurysmVessel(6.0, 1.0, 1.0), fine));
+  EXPECT_EQ(partitionDigest(partitioner.partition(big, 4)),
+            0x01a77ae0d02c7104ULL)
+      << "kway, fine lattice, 4 parts";
+  GreedyGrowingPartitioner greedy;
+  EXPECT_EQ(partitionDigest(greedy.partition(*graph_, 4)),
+            0x555bb08b81c66645ULL)
+      << "greedy, 4 parts";
 }
 
 TEST_F(PartitionFixture, RcbRespectsGeometry) {

@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bbox.hpp"
 #include "util/check.hpp"
 #include "util/morton.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -242,6 +244,31 @@ TEST(Timer, PhaseTimerAccumulates) {
 
 namespace hemo {
 namespace {
+
+TEST(ParallelFor, ChunksCoverTheRangeExactlyOnce) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 4096ULL, 8193ULL, 100003ULL}) {
+    std::vector<int> hits(static_cast<std::size_t>(n), 0);
+    parallelFor(n, [&](std::uint64_t begin, std::uint64_t end) {
+      ASSERT_LE(begin, end);
+      for (auto i = begin; i < end; ++i) ++hits[i];
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsAChunkException) {
+  // The last chunk throws; with more than one hardware thread that chunk
+  // runs on a worker.
+  EXPECT_THROW(parallelFor(100000,
+                           [](std::uint64_t, std::uint64_t end) {
+                             if (end == 100000) {
+                               throw std::runtime_error("last chunk");
+                             }
+                           }),
+               std::runtime_error);
+}
 
 TEST(Hilbert, BijectiveOnSmallCube) {
   std::set<std::uint64_t> seen;
