@@ -14,7 +14,8 @@
 
 #include "common.hpp"
 #include "core/driver.hpp"
-#include "steer/server.hpp"
+#include "serve/broker.hpp"
+#include "steer/client.hpp"
 
 int main() {
   using namespace hemobench;
@@ -26,7 +27,8 @@ int main() {
               static_cast<unsigned long long>(lattice.numFluidSites()),
               ranks);
 
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  // The steering client is one session of the rank-0 broker.
+  serve::SessionBroker broker;
   constexpr int kRequests = 20;
 
   struct Latency {
@@ -34,7 +36,7 @@ int main() {
     std::uint64_t stepAtStart = 0, stepAtEnd = 0;
   } latency;
 
-  std::thread user([clientEnd = clientEnd, &latency]() mutable {
+  std::thread user([clientEnd = broker.connect(), &latency]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
 
@@ -81,7 +83,7 @@ int main() {
   });
 
   comm::Runtime rt(ranks);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lattice, part, comm.rank());
     core::DriverConfig cfg;
     cfg.lb = flowParams(true);
@@ -92,9 +94,8 @@ int main() {
     cfg.render.camera.position = {2.5, 1.0, 8.0};
     cfg.render.camera.target = {2.5, 0.5, 0.0};
     cfg.plannedSteps = 1 << 28;
-    core::SimulationDriver driver(
-        domain, comm, cfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     driver.run(1 << 28);
   });
   user.join();

@@ -29,7 +29,7 @@
 #include "io/ppm.hpp"
 #include "serve/broker.hpp"
 #include "serve/client.hpp"
-#include "steer/server.hpp"
+#include "steer/client.hpp"
 
 int main(int argc, char** argv) {
   using namespace hemo;

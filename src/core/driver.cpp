@@ -15,8 +15,7 @@ namespace hemo::core {
 
 SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
                                    comm::Communicator& comm,
-                                   const DriverConfig& config,
-                                   comm::ChannelEnd steerEnd)
+                                   const DriverConfig& config)
     : domain_(&domain),
       comm_(&comm),
       config_(config),
@@ -24,7 +23,6 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
       ghosts_(std::make_unique<vis::GhostedField>(domain, comm, /*rings=*/2)),
       octree_(std::make_unique<multires::FieldOctree>(domain,
                                                       config.octreeLeafLog2)),
-      server_(std::move(steerEnd)),
       sentinel_(config.sentinel) {
   HEMO_CHECK_MSG(!config.computeWss || config.lb.computeStress,
                  "computeWss requires LbParams::computeStress");
@@ -95,24 +93,16 @@ void SimulationDriver::runPipelineNow() {
   ctx.step = solver_->stepsDone();
   lastOutputs_ = pipeline_.run(ctx);
 
-  // Push the fresh frame to the steering client (loop step 6 of §IV.C.1).
-  // In broker mode the render happens once and fans out through the shared
-  // frame cache to every image subscriber whose cadence is due.
-  if (comm_->rank() == 0 && lastOutputs_.volumeImage.numPixels() > 0) {
-    steer::ImageFrame frame;
-    frame.step = lastOutputs_.step;
-    frame.width = lastOutputs_.volumeImage.width();
-    frame.height = lastOutputs_.volumeImage.height();
-    frame.rgb = lastOutputs_.volumeImage.toRgb8();
+  // Push the fresh frame to the steering clients (loop step 6 of
+  // §IV.C.1): the render happens once and fans out through the broker's
+  // shared frame cache to every image subscriber whose cadence is due.
+  if (broker_ != nullptr && lastOutputs_.volumeImage.numPixels() > 0) {
+    lastImageFrame_.step = lastOutputs_.step;
+    lastImageFrame_.width = lastOutputs_.volumeImage.width();
+    lastImageFrame_.height = lastOutputs_.volumeImage.height();
+    lastImageFrame_.rgb = lastOutputs_.volumeImage.toRgb8();
     lastViewKey_ = serve::viewKey(renderStage_->options());
-    if (brokerMode_) {
-      lastImageFrame_ = std::move(frame);
-      if (broker_ != nullptr) {
-        broker_->publishImage(*comm_, lastViewKey_, lastImageFrame_);
-      }
-    } else {
-      server_.sendImage(*comm_, frame);
-    }
+    broker_->publishImage(*comm_, lastViewKey_, lastImageFrame_);
   }
 }
 
@@ -180,22 +170,6 @@ steer::StatusReport SimulationDriver::computeStatus() {
   return s;
 }
 
-void SimulationDriver::sendRejectRouted(std::uint32_t commandId,
-                                        steer::RejectReason reason,
-                                        steer::MsgType type) {
-  if (brokerMode_) {
-    if (broker_ != nullptr) {
-      broker_->respondReject(*comm_, commandId, reason, type);
-    }
-  } else {
-    steer::Reject reject;
-    reject.type = type;
-    reject.commandId = commandId;
-    reject.reason = reason;
-    server_.sendReject(*comm_, reject);
-  }
-}
-
 void SimulationDriver::recordChange(const steer::Command& cmd) {
   AppliedChange change;
   change.cmd = cmd;
@@ -252,8 +226,11 @@ void SimulationDriver::quarantineLatestChange() {
   noteFlight("quarantined steered command " +
              std::to_string(change.cmd.commandId) + " applied at step " +
              std::to_string(change.step));
-  sendRejectRouted(change.cmd.commandId, steer::RejectReason::kDivergence,
-                   steer::MsgType::kRejectedAfterRollback);
+  if (broker_ != nullptr) {
+    broker_->respondReject(*comm_, change.cmd.commandId,
+                           steer::RejectReason::kDivergence,
+                           steer::MsgType::kRejectedAfterRollback);
+  }
 }
 
 void SimulationDriver::applyCommand(const steer::Command& cmd) {
@@ -276,7 +253,9 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
                         << " (type " << static_cast<int>(cmd.type)
                         << "): " << steer::rejectReasonName(reason);
       }
-      sendRejectRouted(cmd.commandId, reason, MsgType::kReject);
+      if (broker_ != nullptr) {
+        broker_->respondReject(*comm_, cmd.commandId, reason);
+      }
       return;
     }
   }
@@ -329,29 +308,21 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       break;
     case MsgType::kRequestStatus: {
       const auto status = computeStatus();
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondStatus(*comm_, cmd.commandId, status);
-        }
-      } else {
-        server_.sendStatus(*comm_, status);
+      if (broker_ != nullptr) {
+        broker_->respondStatus(*comm_, cmd.commandId, status);
       }
       break;
     }
     case MsgType::kRequestTelemetry: {
       const auto report = computeStepReport();
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondTelemetry(*comm_, cmd.commandId, report);
-        }
-      } else {
-        server_.sendTelemetry(*comm_, report);
+      if (broker_ != nullptr) {
+        broker_->respondTelemetry(*comm_, cmd.commandId, report);
       }
       break;
     }
     case MsgType::kRequestFrame:
       runPipelineNow();
-      if (brokerMode_ && broker_ != nullptr) {
+      if (broker_ != nullptr) {
         broker_->respondImage(*comm_, cmd.commandId, lastViewKey_,
                               lastImageFrame_);
       }
@@ -372,13 +343,7 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       roi.step = solver_->stepsDone();
       roi.level = level;
       roi.nodes = std::move(nodes);
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondRoi(*comm_, cmd.commandId, roi);
-        }
-      } else {
-        server_.sendRoi(*comm_, roi);
-      }
+      if (broker_ != nullptr) broker_->respondRoi(*comm_, cmd.commandId, roi);
       break;
     }
     case MsgType::kRequestObservable: {
@@ -446,12 +411,8 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
       report.kind = cmd.observable;
       report.value = value;
       report.siteCount = count;
-      if (brokerMode_) {
-        if (broker_ != nullptr) {
-          broker_->respondObservable(*comm_, cmd.commandId, report);
-        }
-      } else {
-        server_.sendObservable(*comm_, report);
+      if (broker_ != nullptr) {
+        broker_->respondObservable(*comm_, cmd.commandId, report);
       }
       break;
     }
@@ -463,49 +424,42 @@ void SimulationDriver::applyCommand(const steer::Command& cmd) {
                       << static_cast<int>(cmd.type);
       break;
   }
-  if (brokerMode_) {
-    // Routed ack: reaches only the issuing client(s); suppressed for
-    // synthesized subscription ticks.
-    if (broker_ != nullptr) broker_->respondAck(*comm_, cmd.commandId);
-  } else {
-    server_.sendAck(*comm_, cmd.commandId);
-  }
+  // Routed ack: reaches only the issuing client(s); suppressed for
+  // synthesized subscription ticks.
+  if (broker_ != nullptr) broker_->respondAck(*comm_, cmd.commandId);
 }
 
 void SimulationDriver::pollSteering() {
-  std::vector<steer::Command> commands;
-  if (brokerMode_) {
-    HEMO_TSPAN(kSteer, "serve.poll");
-    std::vector<steer::Command> drained;
-    std::uint8_t healthy = 1;
-    if (comm_->rank() == 0 && broker_ != nullptr) {
-      try {
-        drained = broker_->drainCommands(*comm_, solver_->stepsDone());
-      } catch (const std::exception& e) {
-        // Serving-plane failure must not take the solver down: degrade to
-        // solver-only and keep stepping (graceful degradation).
-        HEMO_LOG_WARN() << "broker failed, degrading to solver-only: "
-                        << e.what();
-        healthy = 0;
-      }
+  // Unsteered (no broker attached, or degraded after a broker failure):
+  // the flag is identical on every rank, so no rank enters a collective.
+  if (!brokerMode_) return;
+  HEMO_TSPAN(kSteer, "serve.poll");
+  std::vector<steer::Command> drained;
+  std::uint8_t healthy = 1;
+  if (comm_->rank() == 0 && broker_ != nullptr) {
+    try {
+      drained = broker_->drainCommands(*comm_, solver_->stepsDone());
+    } catch (const std::exception& e) {
+      // Serving-plane failure must not take the solver down: degrade to
+      // solver-only and keep stepping (graceful degradation).
+      HEMO_LOG_WARN() << "broker failed, degrading to solver-only: "
+                      << e.what();
+      healthy = 0;
     }
-    comm_->bcast(healthy, 0);
-    if (healthy == 0) {
-      brokerMode_ = false;
-      broker_ = nullptr;
-      if (auto* t = telemetry::threadTelemetry()) {
-        t->metrics().counter("serve.broker_failures").add(1);
-      }
-      noteFlight("broker failed at step " +
-                 std::to_string(solver_->stepsDone()) +
-                 "; degraded to solver-only");
-      return;
-    }
-    commands = steer::broadcastCommands(*comm_, drained);
-  } else {
-    commands = server_.poll(*comm_);
   }
-  for (const auto& cmd : commands) {
+  comm_->bcast(healthy, 0);
+  if (healthy == 0) {
+    brokerMode_ = false;
+    broker_ = nullptr;
+    if (auto* t = telemetry::threadTelemetry()) {
+      t->metrics().counter("serve.broker_failures").add(1);
+    }
+    noteFlight("broker failed at step " +
+               std::to_string(solver_->stepsDone()) +
+               "; degraded to solver-only");
+    return;
+  }
+  for (const auto& cmd : steer::broadcastCommands(*comm_, drained)) {
     applyCommand(cmd);
   }
 }
@@ -649,6 +603,17 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
   return false;
 }
 
+void SimulationDriver::resetTelemetryWindow() {
+  windowStartStep_ = solver_->stepsDone();
+  windowTimer_.reset();
+  windowCollide_ = solver_->collideTimer().total();
+  windowStream_ = solver_->streamTimer().total();
+  windowComm_ = solver_->commTimer().total();
+  windowRecvWait_ = solver_->recvWaitTimer().total();
+  windowVis_ = pipeline_.totalSeconds();
+  windowCounters_ = comm_->counters();
+}
+
 telemetry::StepReport SimulationDriver::computeStepReport() {
   static_assert(comm::kNumTrafficClasses <=
                     telemetry::kReportTrafficClasses,
@@ -661,11 +626,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
   local.collideSeconds = solver_->collideTimer().total() - windowCollide_;
   local.streamSeconds = solver_->streamTimer().total() - windowStream_;
   local.commSeconds = solver_->commTimer().total() - windowComm_;
-  double visTotal = 0.0;
-  for (std::size_t i = 0; i < pipeline_.numStages(); ++i) {
-    visTotal += pipeline_.stageSeconds(i);
-  }
-  local.visSeconds = visTotal - windowVis_;
+  local.visSeconds = pipeline_.totalSeconds() - windowVis_;
   local.commHiddenFraction = solver_->commHiddenFraction();
 #ifndef HEMO_TELEMETRY_DISABLED
   // Wait-state window: what this rank's blocked time was spent on, and
@@ -693,14 +654,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
 
   // Start the next window before the collective so the gather traffic is
   // charged to it, not to the window being reported.
-  windowStartStep_ = solver_->stepsDone();
-  windowTimer_.reset();
-  windowCollide_ = solver_->collideTimer().total();
-  windowStream_ = solver_->streamTimer().total();
-  windowComm_ = solver_->commTimer().total();
-  windowVis_ = visTotal;
-  windowRecvWait_ = solver_->recvWaitTimer().total();
-  windowCounters_ = now;
+  resetTelemetryWindow();
 
   const auto perRank = comm_->allgather(local);
   lastStepReport_ = telemetry::aggregateStepReports(perRank);
@@ -739,7 +693,7 @@ telemetry::StepReport SimulationDriver::computeStepReport() {
     fw.aggregate = lastStepReport_;
     fw.sentinel = lastSentinel_;
     fw.broker.active = brokerMode_ ? 1 : 0;
-    if (brokerMode_ && broker_ != nullptr) {
+    if (broker_ != nullptr) {
       fw.broker.clients = broker_->numClients();
       fw.broker.aliveClients = broker_->numAliveClients();
     }
@@ -828,7 +782,7 @@ int SimulationDriver::run(int steps) {
         config_.visEvery > 0 &&
         done % static_cast<std::uint64_t>(config_.visEvery) == 0;
     if (brokerMode_) {
-      // Subscription cadences live on rank 0 (the broker); a 1-byte
+      // Image subscription cadences live on rank 0 (the broker); a 1-byte
       // broadcast keeps the collective render decision identical on every
       // rank.
       std::uint8_t due = renderDue ? 1 : 0;
@@ -871,8 +825,11 @@ int SimulationDriver::run(int steps) {
     }
     if (config_.statusEvery > 0 &&
         done % static_cast<std::uint64_t>(config_.statusEvery) == 0) {
-      server_.sendStatus(*comm_, computeStatus());
-      server_.sendTelemetry(*comm_, computeStepReport());
+      // Feeds lastStatus_, the consistency counter, the telemetry window
+      // and the flight recorder; clients get both reports by subscribing
+      // to the status and telemetry streams.
+      computeStatus();
+      computeStepReport();
       // Flush live serve.* counters every window: frames_dropped grows
       // inside the client outboxes as they evict, so without this it only
       // surfaced when some frame publish happened to run publishMetrics.
@@ -1055,18 +1012,7 @@ MigrationOutcome SimulationDriver::migrateNow(
 
   // The rebuilt solver's timers restart at zero — rebase the telemetry
   // window baselines or the next StepReport window would go negative.
-  windowStartStep_ = stepsDone;
-  windowTimer_.reset();
-  windowCollide_ = solver_->collideTimer().total();
-  windowStream_ = solver_->streamTimer().total();
-  windowComm_ = solver_->commTimer().total();
-  windowRecvWait_ = solver_->recvWaitTimer().total();
-  double visTotal = 0.0;
-  for (std::size_t i = 0; i < pipeline_.numStages(); ++i) {
-    visTotal += pipeline_.stageSeconds(i);
-  }
-  windowVis_ = visTotal;
-  windowCounters_ = comm_->counters();
+  resetTelemetryWindow();
 
   if (auto* t = telemetry::threadTelemetry()) {
     auto& m = t->metrics();

@@ -5,21 +5,23 @@
 /// until completion or a terminate command.
 ///
 /// Per step the driver (on every rank, collectively):
-///   1. polls the steering server — commands broadcast from the master and
-///      applied identically everywhere (vis parameters, sim parameters,
-///      pause/resume, ROI requests, frame requests, terminate);
+///   1. when a session broker is attached, drains its clients' commands on
+///      the master and broadcasts them, so every rank applies them
+///      identically (vis parameters, sim parameters, pause/resume, ROI
+///      requests, frame requests, terminate); unsteered runs skip this;
 ///   2. advances the LB solver one step (unless paused);
-///   3. every `visEvery` steps runs the Fig 3 pipeline and pushes the
-///      resulting image to the steering client;
-///   4. every `statusEvery` steps emits a status report (runtime estimate,
-///      consistency checks — §I's "status informations").
+///   3. every `visEvery` steps (or when an image subscription is due) runs
+///      the Fig 3 pipeline and fans the image out to the due subscribers;
+///   4. every `statusEvery` steps computes the status report (runtime
+///      estimate, consistency checks — §I's "status informations") and
+///      the telemetry window; clients receive both by subscribing to the
+///      status and telemetry streams.
 
 #include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "comm/channel.hpp"
 #include "comm/profiler.hpp"
 #include "core/pipeline.hpp"
 #include "core/scheduler.hpp"
@@ -29,7 +31,7 @@
 #include "partition/repartition.hpp"
 #include "serve/broker.hpp"
 #include "steer/guard.hpp"
-#include "steer/server.hpp"
+#include "steer/protocol.hpp"
 #include "telemetry/step_report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/timer.hpp"
@@ -144,12 +146,10 @@ struct MigrationOutcome {
 
 class SimulationDriver {
  public:
-  /// Collective construction. `steerEnd` is the master-side channel end of
-  /// the steering connection; pass a default ChannelEnd to disable
-  /// steering (e.g. batch runs).
+  /// Collective construction. The driver runs unsteered until a broker is
+  /// attached (attachBroker).
   SimulationDriver(const lb::DomainMap& domain, comm::Communicator& comm,
-                   const DriverConfig& config,
-                   comm::ChannelEnd steerEnd = {});
+                   const DriverConfig& config);
 
   /// Run up to `steps` further steps; returns the number actually executed
   /// (a terminate command stops early).
@@ -164,12 +164,12 @@ class SimulationDriver {
   RenderStage& renderStage() { return *renderStage_; }
   const DriverConfig& config() const { return config_; }
 
-  /// Switch the driver into serving mode (collective: every rank calls
-  /// this; only rank 0 passes the broker, others pass nullptr). Steering
-  /// commands are then drained from the broker's N client channels instead
-  /// of the single SteeringServer channel, responses route back to the
-  /// requesting client(s), and rendered frames fan out through the
-  /// broker's shared frame cache to every due image subscriber.
+  /// Attach the steering plane (collective: every rank calls this; only
+  /// rank 0 passes the broker, others pass nullptr). A single steering
+  /// client is one broker session (`broker.connect()`). Steering commands
+  /// are then drained from the broker's client channels, responses route
+  /// back to the requesting client(s), and rendered frames fan out through
+  /// the broker's shared frame cache to every due image subscriber.
   void attachBroker(serve::SessionBroker* broker);
 
   /// Run the in situ pipeline immediately (collective).
@@ -181,9 +181,9 @@ class SimulationDriver {
   /// counter is rebased to the checkpointed step.
   lb::RestoreResult restoreLatest();
 
-  /// True while broker mode is active and the broker is healthy. After a
-  /// broker failure the driver degrades to solver-only and this flips
-  /// false (identical on every rank).
+  /// True while a broker is attached and healthy. After a broker failure
+  /// the driver degrades to solver-only (no steering) and this flips false
+  /// (identical on every rank).
   bool brokerHealthy() const { return brokerMode_; }
 
   /// Compute a status report (collective).
@@ -239,9 +239,6 @@ class SimulationDriver {
 
   void applyCommand(const steer::Command& cmd);
   void pollSteering();
-  /// Route a typed NACK to the issuing client (broker or plain server).
-  void sendRejectRouted(std::uint32_t commandId, steer::RejectReason reason,
-                        steer::MsgType type);
   /// Snapshot the pre-change state of a mutating command into history_.
   void recordChange(const steer::Command& cmd);
   /// Revert the most recent steered change and NACK it retroactively.
@@ -250,6 +247,10 @@ class SimulationDriver {
   /// when the step's results were discarded (rolled back or terminated) —
   /// the run loop must `continue` without checkpointing.
   bool sentinelGuard(std::uint64_t step);
+  /// Rebase the telemetry window on the current solver timers, pipeline
+  /// stage totals and traffic counters: the next computeStepReport()
+  /// reports only what happens from here on.
+  void resetTelemetryWindow();
   /// Timestamped breadcrumb into this rank's flight recorder (no-op when
   /// telemetry is compiled out or unattached).
   void noteFlight(const std::string& what);
@@ -270,7 +271,6 @@ class SimulationDriver {
   std::unique_ptr<multires::FieldOctree> octree_;
   InSituPipeline pipeline_;
   RenderStage* renderStage_ = nullptr;  // owned by pipeline_
-  steer::SteeringServer server_;
   serve::SessionBroker* broker_ = nullptr;  ///< rank 0 only in broker mode
   bool brokerMode_ = false;                 ///< identical on every rank
   steer::ImageFrame lastImageFrame_;        ///< rank 0, broker mode

@@ -68,6 +68,12 @@ class InSituPipeline {
   std::size_t numStages() const { return stages_.size(); }
   const char* stageName(std::size_t i) const { return stages_[i]->name(); }
   double stageSeconds(std::size_t i) const { return timers_[i].total(); }
+  /// Summed seconds of every stage.
+  double totalSeconds() const {
+    double total = 0.0;
+    for (const auto& t : timers_) total += t.total();
+    return total;
+  }
   void resetTimers() {
     for (auto& t : timers_) t.reset();
   }

@@ -1,5 +1,7 @@
 #include "steer/protocol.hpp"
 
+#include <cstring>
+
 #include "io/serial.hpp"
 #include "util/check.hpp"
 
@@ -391,6 +393,39 @@ Credit decodeCredit(const std::vector<std::byte>& frame) {
   credit.ackLevel = r.get<std::int32_t>();
   HEMO_CHECK(r.atEnd());
   return credit;
+}
+
+// --- collective propagation -------------------------------------------------
+
+std::vector<Command> broadcastCommands(
+    comm::Communicator& comm, const std::vector<Command>& rank0Commands) {
+  comm::Communicator::TrafficScope scope(comm, comm::Traffic::kSteer);
+  // Rank 0 concatenates length-prefixed frames, then broadcasts the blob.
+  std::vector<std::byte> packed;
+  if (comm.rank() == 0) {
+    for (const Command& cmd : rank0Commands) {
+      const auto frame = encodeCommand(cmd);
+      const auto n = static_cast<std::uint32_t>(frame.size());
+      const auto* np = reinterpret_cast<const std::byte*>(&n);
+      packed.insert(packed.end(), np, np + sizeof(n));
+      packed.insert(packed.end(), frame.begin(), frame.end());
+    }
+  }
+  comm.bcastBytes(packed, 0);
+
+  std::vector<Command> commands;
+  std::size_t pos = 0;
+  while (pos < packed.size()) {
+    std::uint32_t n;
+    std::memcpy(&n, packed.data() + pos, sizeof(n));
+    pos += sizeof(n);
+    HEMO_CHECK(pos + n <= packed.size());
+    commands.push_back(decodeCommand(std::vector<std::byte>(
+        packed.begin() + static_cast<std::ptrdiff_t>(pos),
+        packed.begin() + static_cast<std::ptrdiff_t>(pos + n))));
+    pos += n;
+  }
+  return commands;
 }
 
 }  // namespace hemo::steer

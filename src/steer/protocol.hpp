@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "multires/octree.hpp"
 #include "telemetry/step_report.hpp"
 #include "util/bbox.hpp"
@@ -212,5 +213,14 @@ telemetry::StepReport decodeTelemetry(const std::vector<std::byte>& frame);
 
 /// Type tag of a frame (first byte).
 MsgType frameType(const std::vector<std::byte>& frame);
+
+// --- collective propagation --------------------------------------------------
+
+/// Collective: rank 0 packs `rank0Commands` (ignored elsewhere) and
+/// broadcasts; every rank returns the identical decoded list. The master's
+/// step 4 of §IV.C.1 (propagate the drained commands so all ranks apply
+/// them in the same step), counted as kSteer traffic.
+std::vector<Command> broadcastCommands(comm::Communicator& comm,
+                                       const std::vector<Command>& rank0Commands);
 
 }  // namespace hemo::steer

@@ -8,7 +8,9 @@
 # and the serving broker (N client threads subscribing/receiving against
 # the rank-0 serving thread) are exactly the kind of code TSan can vet. The
 # partitioner and site-graph tests join because their CSR builds run on
-# parallelFor worker threads (util/parallel.hpp).
+# parallelFor worker threads (util/parallel.hpp). The core and steer tests
+# join because their closed-loop tests run a steering client thread against
+# the rank-0 broker session.
 # Usage: tests/run_tsan.sh [build-dir]
 # Also registered under `ctest -L sanitize` when -DHEMO_SANITIZE_TESTS=ON.
 set -euo pipefail
@@ -21,7 +23,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DHEMO_SANITIZE=thread
 cmake --build "$build_dir" -j --target test_lb test_lb_fused test_telemetry \
   test_serve test_relay test_resilience test_recovery test_migration \
-  test_partition test_geometry
+  test_partition test_geometry test_core test_steer
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_lb"
@@ -34,4 +36,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_migration"
 "$build_dir/tests/test_partition"
 "$build_dir/tests/test_geometry"
+"$build_dir/tests/test_core"
+"$build_dir/tests/test_steer"
 echo "TSan run clean."

@@ -13,6 +13,8 @@
 #include "core/preprocess.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
+#include "serve/broker.hpp"
+#include "steer/client.hpp"
 #include "util/stats.hpp"
 
 namespace hemo::core {
@@ -170,11 +172,12 @@ TEST(ClosedLoop, SteeringClientDrivesTheSimulation) {
   PreprocessConfig cfg;
   const auto pre = preprocess(lat, 3, cfg);
 
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  // One steering client is one broker session.
+  serve::SessionBroker broker;
 
   // The scripted user: asks for status, changes the viewpoint, requests a
   // frame, steers a simulation parameter, pauses/resumes, terminates.
-  std::thread user([clientEnd = clientEnd]() mutable {
+  std::thread user([clientEnd = broker.connect()]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
 
@@ -219,7 +222,7 @@ TEST(ClosedLoop, SteeringClientDrivesTheSimulation) {
   });
 
   comm::Runtime rt(3);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, pre.partition, comm.rank());
     DriverConfig dcfg;
     dcfg.lb.tau = 0.8;
@@ -230,9 +233,8 @@ TEST(ClosedLoop, SteeringClientDrivesTheSimulation) {
     dcfg.visEvery = 0;
     dcfg.statusEvery = 0;
     dcfg.plannedSteps = 100000;
-    SimulationDriver driver(
-        domain, comm, dcfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    SimulationDriver driver(domain, comm, dcfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     // Plenty of headroom: the terminate command ends the run early.
     const int executed = driver.run(2000000);
     EXPECT_TRUE(driver.terminated());
@@ -247,9 +249,9 @@ TEST(ClosedLoop, PauseFreezesStepsUntilResume) {
   const auto lat = aneurysmLattice(0.35);
   PreprocessConfig cfg;
   const auto pre = preprocess(lat, 2, cfg);
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  serve::SessionBroker broker;
 
-  std::thread user([clientEnd = clientEnd]() mutable {
+  std::thread user([clientEnd = broker.connect()]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
     c.type = steer::MsgType::kPause;
@@ -277,7 +279,7 @@ TEST(ClosedLoop, PauseFreezesStepsUntilResume) {
   });
 
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, pre.partition, comm.rank());
     DriverConfig dcfg;
     dcfg.lb.computeStress = true;
@@ -285,9 +287,8 @@ TEST(ClosedLoop, PauseFreezesStepsUntilResume) {
     dcfg.render.height = 16;
     dcfg.visEvery = 0;
     dcfg.statusEvery = 0;
-    SimulationDriver driver(
-        domain, comm, dcfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    SimulationDriver driver(domain, comm, dcfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     driver.run(1000000);
     EXPECT_TRUE(driver.terminated());
   });
@@ -315,6 +316,32 @@ TEST(Driver, BatchRunWithoutSteeringWorks) {
     // visEvery=5 fired at steps 5 and 10.
     EXPECT_EQ(driver.lastOutputs().step, 10u);
   });
+}
+
+TEST(Driver, UnsteeredRunSendsNoSteeringCollective) {
+  // With no broker attached the driver makes no steering collective: the
+  // kSteer class stays silent on every rank, renders and status windows
+  // included.
+  const auto lat = aneurysmLattice(0.35);
+  PreprocessConfig cfg;
+  const auto pre = preprocess(lat, 3, cfg);
+  comm::Runtime rt(3);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, pre.partition, comm.rank());
+    DriverConfig dcfg;
+    dcfg.lb.computeStress = true;
+    dcfg.render.width = 16;
+    dcfg.render.height = 16;
+    dcfg.visEvery = 5;
+    dcfg.statusEvery = 10;
+    SimulationDriver driver(domain, comm, dcfg);
+    EXPECT_EQ(driver.run(20), 20);
+  });
+  for (int r = 0; r < 3; ++r) {
+    const auto& steer = rt.counters(r).of(comm::Traffic::kSteer);
+    EXPECT_EQ(steer.messagesSent, 0u) << "rank " << r;
+    EXPECT_EQ(steer.messagesReceived, 0u) << "rank " << r;
+  }
 }
 
 TEST(Driver, StatusConsistencyChecks) {

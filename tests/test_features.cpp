@@ -17,6 +17,8 @@
 #include "geometry/voxelizer.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
+#include "serve/broker.hpp"
+#include "steer/client.hpp"
 #include "vis/features.hpp"
 #include "vis/particles.hpp"
 
@@ -261,12 +263,12 @@ TEST(Observables, RoiRestrictedValuesMatchDirectComputation) {
   const auto lat = tube(0.25);
   core::PreprocessConfig pcfg;
   const auto pre = core::preprocess(lat, 3, pcfg);
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  serve::SessionBroker broker;
 
   // The ROI: the upstream half of the tube (lattice coordinates).
   const BoxI roi{{0, 0, 0}, {lat.dims().x / 2, lat.dims().y, lat.dims().z}};
 
-  std::thread user([clientEnd = clientEnd, roi]() mutable {
+  std::thread user([clientEnd = broker.connect(), roi]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
     auto request = [&](steer::ObservableKind kind, bool whole) {
@@ -298,16 +300,15 @@ TEST(Observables, RoiRestrictedValuesMatchDirectComputation) {
   });
 
   comm::Runtime rt(3);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, pre.partition, comm.rank());
     core::DriverConfig cfg;
     cfg.lb.computeStress = true;
     cfg.lb.bodyForce = {1e-5, 0, 0};
     cfg.visEvery = 0;
     cfg.statusEvery = 0;
-    core::SimulationDriver driver(
-        domain, comm, cfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     driver.solver().run(100);  // develop flow before serving requests
     driver.run(1 << 28);
     EXPECT_TRUE(driver.terminated());
@@ -319,9 +320,9 @@ TEST(Observables, SteeredVelocityIoletViaProtocol) {
   const auto lat = tube(0.25);
   core::PreprocessConfig pcfg;
   const auto pre = core::preprocess(lat, 2, pcfg);
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  serve::SessionBroker broker;
 
-  std::thread user([clientEnd = clientEnd]() mutable {
+  std::thread user([clientEnd = broker.connect()]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
     c.type = steer::MsgType::kSetIoletVelocity;
@@ -335,15 +336,14 @@ TEST(Observables, SteeredVelocityIoletViaProtocol) {
   });
 
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, pre.partition, comm.rank());
     core::DriverConfig cfg;
     cfg.lb.computeStress = true;
     cfg.visEvery = 0;
     cfg.statusEvery = 0;
-    core::SimulationDriver driver(
-        domain, comm, cfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     driver.run(1 << 28);
     EXPECT_EQ(driver.solver().ioletVelocity(0), (Vec3d{0.02, 0, 0}));
   });
@@ -458,8 +458,8 @@ TEST(RenderClip, SteeringMessageSetsAndClearsClip) {
   const auto lat = tube(0.3);
   core::PreprocessConfig pcfg;
   const auto pre = core::preprocess(lat, 2, pcfg);
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  std::thread user([clientEnd = clientEnd, &lat]() mutable {
+  serve::SessionBroker broker;
+  std::thread user([clientEnd = broker.connect(), &lat]() mutable {
     steer::SteeringClient client(clientEnd);
     steer::Command c;
     c.type = steer::MsgType::kSetRenderClip;
@@ -495,7 +495,7 @@ TEST(RenderClip, SteeringMessageSetsAndClearsClip) {
     client.send(c);
   });
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, pre.partition, comm.rank());
     core::DriverConfig cfg;
     cfg.lb.computeStress = true;
@@ -507,9 +507,8 @@ TEST(RenderClip, SteeringMessageSetsAndClearsClip) {
     cfg.render.camera.position = {2.0, 0, 6.0};
     cfg.render.camera.target = {2.0, 0, 0};
     cfg.render.transfer = vis::TransferFunction::bloodFlow(0.f, 4e-4f);
-    core::SimulationDriver driver(
-        domain, comm, cfg,
-        comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     driver.solver().run(60);
     driver.run(1 << 28);
   });

@@ -28,7 +28,7 @@
 #include "partition/partitioners.hpp"
 #include "serve/broker.hpp"
 #include "serve/client.hpp"
-#include "steer/server.hpp"
+#include "steer/client.hpp"
 #include "util/faultinject.hpp"
 
 namespace hemo {
@@ -674,6 +674,14 @@ TEST(DriverRecovery, BrokerFailureDegradesToSolverOnly) {
     EXPECT_EQ(driver.run(10), 10);
     EXPECT_FALSE(driver.brokerHealthy());
     EXPECT_EQ(driver.solver().stepsDone(), 10u);
+    // Degraded means no steering at all: no rank polls or broadcasts
+    // steering traffic any more.
+    const auto before = comm.counters().of(comm::Traffic::kSteer);
+    EXPECT_EQ(driver.run(10), 10);
+    const auto after = comm.counters().of(comm::Traffic::kSteer);
+    EXPECT_EQ(after.messagesSent, before.messagesSent);
+    EXPECT_EQ(after.messagesReceived, before.messagesReceived);
+    EXPECT_EQ(after.bytesSent, before.bytesSent);
   });
 }
 
@@ -802,8 +810,8 @@ TEST(Guard, RejectedCommandsNeverTouchSolverState) {
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, 2);
 
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  steer::SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  steer::SteeringClient client(broker.connect());
   // Every classic run-killer, pre-queued so the driver sees them on its
   // first poll. Each must be refused with its own reason, in order.
   struct BadCommand {
@@ -842,11 +850,10 @@ TEST(Guard, RejectedCommandsNeverTouchSolverState) {
   std::vector<Vec3d> steeredU(lat.numFluidSites());
   {
     comm::Runtime rt(2);
-    rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+    rt.run([&](comm::Communicator& comm) {
       lb::DomainMap domain(lat, part, comm.rank());
-      core::SimulationDriver driver(
-          domain, comm, plainDriverConfig(),
-          comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+      core::SimulationDriver driver(domain, comm, plainDriverConfig());
+      driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
       EXPECT_EQ(driver.run(30), 30);
       collectMacro(domain, driver.solver(), steeredRho, steeredU);
     });
@@ -940,13 +947,24 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   // refuse — disable it so the stage-2 sentinel has something to catch.
   cfg.guard.enabled = false;
 
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
+  serve::SessionBroker broker;
   std::uint32_t badId = 0;
   std::optional<steer::Reject> nack;
-  std::thread user([clientEnd = clientEnd, &badId, &nack]() mutable {
+  std::thread user([clientEnd = broker.connect(), &badId, &nack,
+                    checkpointStep = cfg.checkpointEvery]() mutable {
     steer::SteeringClient client(clientEnd);
-    // Wait for the first status: by then the step-10 checkpoint exists.
-    const auto status = client.awaitStatus();
+    steer::Command sub;
+    sub.type = steer::MsgType::kSubscribe;
+    sub.stream = static_cast<std::uint8_t>(serve::StreamKind::kStatus);
+    sub.cadence = 10;
+    client.send(sub);
+    // The first tick can fire at step 0, before any checkpoint exists:
+    // wait for a status at or past the step-10 checkpoint.
+    auto status = client.awaitStatus();
+    while (status.has_value() &&
+           status->step < static_cast<std::uint64_t>(checkpointStep)) {
+      status = client.awaitStatus();
+    }
     ASSERT_TRUE(status.has_value());
     EXPECT_EQ(status->consistencyStep, status->step);
     steer::Command c;
@@ -958,10 +976,10 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   });
 
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
+  rt.run([&](comm::Communicator& comm) {
     lb::DomainMap domain(lat, part, comm.rank());
-    core::SimulationDriver driver(
-        domain, comm, cfg, comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+    core::SimulationDriver driver(domain, comm, cfg);
+    driver.attachBroker(comm.rank() == 0 ? &broker : nullptr);
     const int executed = driver.run(200);
     // Divergence was caught and rolled back — the run finished all its
     // steps instead of aborting or terminating early.
@@ -976,6 +994,9 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
       ASSERT_TRUE(std::isfinite(driver.solver().macro().u[l].norm()));
     }
   });
+  // Queued frames still drain; a NACK that never came reads as EOF, not a
+  // hang.
+  broker.closeAll();
   user.join();
 
   ASSERT_TRUE(nack.has_value());

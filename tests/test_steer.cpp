@@ -1,5 +1,7 @@
-// Steering protocol + server/client tests: frame round trips, command
-// broadcast semantics, typed awaits, and traffic classification.
+// Steering protocol + client tests: frame round trips, command broadcast
+// semantics, typed awaits, and traffic classification. The simulation side
+// of every client test is a serving-broker session (serve/broker.hpp):
+// rank 0 drains the broker, broadcastCommands propagates to all ranks.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +12,24 @@
 #include <thread>
 
 #include "comm/runtime.hpp"
+#include "serve/broker.hpp"
+#include "steer/client.hpp"
 #include "steer/guard.hpp"
 #include "steer/protocol.hpp"
-#include "steer/server.hpp"
 #include "util/check.hpp"
 
 namespace hemo::steer {
 namespace {
+
+/// One steering poll of the broker path (collective): rank 0 drains the
+/// broker's sessions at `step`, every rank returns the broadcast list.
+std::vector<Command> pollBroker(comm::Communicator& comm,
+                                serve::SessionBroker& broker,
+                                std::uint64_t step = 0) {
+  std::vector<Command> drained;
+  if (comm.rank() == 0) drained = broker.drainCommands(comm, step);
+  return broadcastCommands(comm, drained);
+}
 
 TEST(Protocol, CommandRoundTripAllFields) {
   Command cmd;
@@ -104,8 +117,8 @@ TEST(Protocol, FrameTypeTagIsFirstByte) {
 }
 
 TEST(Server, BroadcastsCommandsToAllRanks) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
   Command pause;
   pause.type = MsgType::kPause;
   client.send(pause);
@@ -115,9 +128,8 @@ TEST(Server, BroadcastsCommandsToAllRanks) {
   client.send(tau);
 
   comm::Runtime rt(4);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    const auto cmds = server.poll(comm);
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = pollBroker(comm, broker);
     // Every rank sees both commands, in order.
     ASSERT_EQ(cmds.size(), 2u);
     EXPECT_EQ(static_cast<int>(cmds[0].type),
@@ -126,31 +138,41 @@ TEST(Server, BroadcastsCommandsToAllRanks) {
               static_cast<int>(MsgType::kSetTau));
     EXPECT_DOUBLE_EQ(cmds[1].value, 0.9);
     // A second poll with nothing pending returns empty everywhere.
-    EXPECT_TRUE(server.poll(comm).empty());
+    EXPECT_TRUE(pollBroker(comm, broker).empty());
   });
 }
 
 TEST(Server, ResponsesReachTheClient) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
+  Command c;
+  c.type = MsgType::kRequestStatus;
+  client.send(c);
+  c.type = MsgType::kRequestFrame;
+  client.send(c);
+  c.type = MsgType::kPause;
+  const std::uint32_t pauseId = client.send(c);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = pollBroker(comm, broker);
+    ASSERT_EQ(cmds.size(), 3u);
+    if (comm.rank() != 0) return;
     StatusReport s;
     s.step = 5;
-    server.sendStatus(comm, s);  // no-op on rank 1
+    broker.respondStatus(comm, cmds[0].commandId, s);
     ImageFrame f;
     f.step = 5;
     f.width = 1;
     f.height = 1;
     f.rgb = {9, 9, 9};
-    server.sendImage(comm, f);
-    server.sendAck(comm, 77);
+    broker.respondImage(comm, cmds[1].commandId, /*view=*/1, f);
+    broker.respondAck(comm, cmds[2].commandId);
   });
-  // Typed awaits filter by type regardless of arrival order.
+  // Typed awaits filter by type regardless of arrival order: the ack is
+  // the last frame queued.
   const auto ack = client.awaitAck();
   ASSERT_TRUE(ack.has_value());
-  EXPECT_EQ(*ack, 77u);
+  EXPECT_EQ(*ack, pauseId);
   const auto status = client.awaitStatus();
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->step, 5u);
@@ -160,32 +182,26 @@ TEST(Server, ResponsesReachTheClient) {
 }
 
 TEST(Server, SteerTrafficIsClassified) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
   Command c;
   c.type = MsgType::kRequestStatus;
   client.send(c);
   comm::Runtime rt(3);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-  });
+  rt.run([&](comm::Communicator& comm) { pollBroker(comm, broker); });
   EXPECT_GT(rt.totalCounters().of(comm::Traffic::kSteer).bytesSent, 0u);
 }
 
 TEST(Server, ReceivedSteerBytesAreCountedSymmetrically) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
   Command c;
   c.type = MsgType::kPause;
   client.send(c);
   c.type = MsgType::kResume;
   client.send(c);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-  });
+  rt.run([&](comm::Communicator& comm) { pollBroker(comm, broker); });
   // Rank 0 drained two command frames off the channel: both the message
   // count and the payload bytes must appear on the receive side of kSteer.
   const auto& steer = rt.counters(0).of(comm::Traffic::kSteer);
@@ -196,8 +212,11 @@ TEST(Server, ReceivedSteerBytesAreCountedSymmetrically) {
 }
 
 TEST(Client, AckRoundTripFeedsTheRttHistogram) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  const auto channel = comm::makeChannelPair();
+  comm::ChannelEnd brokerEnd = channel.second;
+  broker.addClient(brokerEnd);
+  SteeringClient client(channel.first);
   Command c;
   c.type = MsgType::kPause;
   const std::uint32_t id1 = client.send(c);
@@ -205,12 +224,14 @@ TEST(Client, AckRoundTripFeedsTheRttHistogram) {
   EXPECT_NE(id1, id2);
   EXPECT_EQ(client.roundTripHistogram().count(), 0u);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    server.poll(comm);
-    server.sendAck(comm, id1);
-    server.sendAck(comm, id2);
-    server.sendAck(comm, 9999);  // unknown id: ack passes, no RTT sample
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = pollBroker(comm, broker);
+    if (comm.rank() != 0) return;
+    // The broker maps its rewritten ids back to id1 and id2.
+    for (const auto& cmd : cmds) broker.respondAck(comm, cmd.commandId);
+    // A stray ack this client never issued (the channel end is a shared
+    // handle): it passes through but adds no RTT sample.
+    brokerEnd.send(encodeAck(9999));
   });
   ASSERT_TRUE(client.awaitAck().has_value());
   ASSERT_TRUE(client.awaitAck().has_value());
@@ -262,21 +283,38 @@ TEST(Protocol, TelemetryReportRoundTrip) {
 }
 
 TEST(Server, TelemetryStreamReachesTheClient) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
+  for (const auto stream :
+       {serve::StreamKind::kStatus, serve::StreamKind::kTelemetry}) {
+    Command sub;
+    sub.type = MsgType::kSubscribe;
+    sub.stream = static_cast<std::uint8_t>(stream);
+    sub.cadence = 10;
+    client.send(sub);
+  }
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
+  rt.run([&](comm::Communicator& comm) {
+    // Both subscriptions are due at step 40: one status tick, then one
+    // telemetry tick.
+    const auto ticks = pollBroker(comm, broker, 40);
+    ASSERT_EQ(ticks.size(), 2u);
+    EXPECT_EQ(static_cast<int>(ticks[0].type),
+              static_cast<int>(MsgType::kRequestStatus));
+    EXPECT_EQ(static_cast<int>(ticks[1].type),
+              static_cast<int>(MsgType::kRequestTelemetry));
+    if (comm.rank() != 0) return;
+    StatusReport s;
+    s.step = 40;
+    broker.respondStatus(comm, ticks[0].commandId, s);
     telemetry::StepReport r;
     r.step = 40;
     r.ranks = 2;
     r.mlups = 5.5;
-    server.sendTelemetry(comm, r);  // no-op on rank 1
-    StatusReport s;
-    s.step = 40;
-    server.sendStatus(comm, s);
+    broker.respondTelemetry(comm, ticks[1].commandId, r);
   });
-  // Typed await skips past the interleaved status frame.
+  // Typed await skips past the subscription acks and the earlier status
+  // frame.
   const auto report = client.awaitTelemetry();
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->step, 40u);
@@ -540,24 +578,24 @@ TEST(Guard, EachViolationMapsToItsReason) {
 }
 
 TEST(Server, RejectReachesTheClient) {
-  auto [clientEnd, serverEnd] = comm::makeChannelPair();
-  SteeringClient client(clientEnd);
+  serve::SessionBroker broker;
+  SteeringClient client(broker.connect());
   Command cmd;
+  cmd.type = MsgType::kRequestStatus;
+  client.send(cmd);
   cmd.type = MsgType::kSetTau;
   cmd.value = 0.1;
   const std::uint32_t id = client.send(cmd);
   comm::Runtime rt(2);
-  rt.run([&, serverEnd = serverEnd](comm::Communicator& comm) {
-    SteeringServer server(comm.rank() == 0 ? serverEnd : comm::ChannelEnd{});
-    const auto cmds = server.poll(comm);
-    ASSERT_EQ(cmds.size(), 1u);
+  rt.run([&](comm::Communicator& comm) {
+    const auto cmds = pollBroker(comm, broker);
+    ASSERT_EQ(cmds.size(), 2u);
+    if (comm.rank() != 0) return;
     StatusReport s;
     s.step = 3;
-    server.sendStatus(comm, s);  // interleaved frame; await must skip it
-    Reject rej;
-    rej.commandId = cmds[0].commandId;
-    rej.reason = RejectReason::kTauUnstable;
-    server.sendReject(comm, rej);  // no-op on rank 1
+    // Interleaved frame; the await below must skip it.
+    broker.respondStatus(comm, cmds[0].commandId, s);
+    broker.respondReject(comm, cmds[1].commandId, RejectReason::kTauUnstable);
   });
   const auto rej = client.awaitReject();
   ASSERT_TRUE(rej.has_value());
