@@ -1,5 +1,6 @@
 #include "geometry/sgmy.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -48,7 +49,7 @@ std::vector<std::byte> encodeBlockPayload(
     const int B = lattice.blockSize();
     const Vec3i in{pos.x % B, pos.y % B, pos.z % B};
     w.put<std::uint16_t>(static_cast<std::uint16_t>(lattice.localLinear(in)));
-    const SiteRecord& rec = lattice.site(id);
+    const SiteRecord rec = lattice.site(id);
     for (const auto& link : rec.links) {
       w.put<std::uint8_t>(static_cast<std::uint8_t>(link.kind));
       if (link.kind != LinkKind::kBulk) {
@@ -80,22 +81,41 @@ std::vector<DecodedSite> decodeBlockPayload(
       static_cast<int>(rest % static_cast<std::uint64_t>(bd.y)),
       static_cast<int>(rest / static_cast<std::uint64_t>(bd.y))};
 
+  // Every field that indexes something is checked here, so a corrupt
+  // payload fails with the same CheckError as a truncated one instead of
+  // reaching the solver's iolet tables or a lattice position past dims (the
+  // padding of a partial block). B³ is taken with B capped at 2^16, where
+  // any u16 local index already fits.
+  const auto b = static_cast<std::uint64_t>(std::min(B, 1 << 16));
+  const std::uint64_t blockVolume = b * b * b;
   std::vector<DecodedSite> sites;
   io::Reader r(payload);
   while (!r.atEnd()) {
     DecodedSite s;
     const int local = r.get<std::uint16_t>();
+    HEMO_CHECK_MSG(static_cast<std::uint64_t>(local) < blockVolume,
+                   "local site index " << local << " outside the block");
     const int lz = local / (B * B);
     const int ly = (local / B) % B;
     const int lx = local % B;
     s.position = Vec3i{blockCoord.x * B + lx, blockCoord.y * B + ly,
                        blockCoord.z * B + lz};
+    HEMO_CHECK_MSG(s.position.x < header.dims.x &&
+                       s.position.y < header.dims.y &&
+                       s.position.z < header.dims.z,
+                   "site " << s.position << " outside the lattice");
     for (auto& link : s.record.links) {
-      link.kind = static_cast<LinkKind>(r.get<std::uint8_t>());
+      const auto kind = r.get<std::uint8_t>();
+      HEMO_CHECK_MSG(kind <= static_cast<std::uint8_t>(LinkKind::kOutlet),
+                     "unknown link kind " << static_cast<int>(kind));
+      link.kind = static_cast<LinkKind>(kind);
       if (link.kind != LinkKind::kBulk) {
         link.wallDistance = r.get<float>();
         if (link.kind != LinkKind::kWall) {
           link.ioletId = r.get<std::uint16_t>();
+          HEMO_CHECK_MSG(link.ioletId < header.iolets.size(),
+                         "iolet id " << link.ioletId << " of "
+                                     << header.iolets.size() << " iolets");
         }
       }
     }
@@ -189,12 +209,31 @@ GeoStatus tryReadSgmyHeader(const std::string& path, SgmyHeader* header,
   if (!f.good()) {
     return fail(GeoStatus::kOpenFailed, detail, "cannot open " + path);
   }
-  const std::string raw((std::istreambuf_iterator<char>(f)),
-                        std::istreambuf_iterator<char>());
-  io::Reader r(reinterpret_cast<const std::byte*>(raw.data()), raw.size());
+  f.seekg(0, std::ios::end);
+  const auto fileSize = static_cast<std::uint64_t>(f.tellg());
+  f.seekg(0);
+
+  // The header is read section by section, never the payloads. next(n)
+  // loads the following n bytes, or what is left of the file: a Reader over
+  // a short chunk throws at the same field a whole-file buffer would.
+  std::uint64_t pos = 0;
+  std::vector<std::byte> chunk;
+  auto next = [&](std::uint64_t n) {
+    chunk.resize(static_cast<std::size_t>(std::min(n, fileSize - pos)));
+    if (!chunk.empty()) {
+      f.read(reinterpret_cast<char*>(chunk.data()),
+             static_cast<std::streamsize>(chunk.size()));
+      HEMO_CHECK_MSG(f.good(), "short read in " << path);
+    }
+    pos += chunk.size();
+    return io::Reader(chunk);
+  };
 
   SgmyHeader h;
   try {
+    // magic 4, version 4, dims 12, blockSize 4, voxelSize 8, origin 24,
+    // iolet count 4.
+    io::Reader r = next(60);
     char magic[4];
     r.getRaw(magic, 4);
     if (std::string(magic, 4) != "SGMY") {
@@ -217,10 +256,11 @@ GeoStatus tryReadSgmyHeader(const std::string& path, SgmyHeader* header,
     const auto numIolets = r.get<std::uint32_t>();
     // Count sanity *before* the loop allocates: each entry has a fixed
     // on-disk size, so a count the remaining bytes cannot hold is corrupt.
-    if (numIolets > r.remaining() / kIoletEntryBytes) {
+    if (numIolets > (fileSize - pos) / kIoletEntryBytes) {
       return fail(GeoStatus::kTruncated, detail,
                   "iolet table exceeds file size in " + path);
     }
+    r = next(numIolets * kIoletEntryBytes + 8);
     for (std::uint32_t i = 0; i < numIolets; ++i) {
       Iolet io;
       io.kind = static_cast<Iolet::Kind>(r.get<std::uint8_t>());
@@ -233,10 +273,11 @@ GeoStatus tryReadSgmyHeader(const std::string& path, SgmyHeader* header,
       h.iolets.push_back(io);
     }
     const auto numBlocks = r.get<std::uint64_t>();
-    if (numBlocks > r.remaining() / kBlockEntryBytes) {
+    if (numBlocks > (fileSize - pos) / kBlockEntryBytes) {
       return fail(GeoStatus::kTruncated, detail,
                   "block table exceeds file size in " + path);
     }
+    r = next(numBlocks * kBlockEntryBytes);
     h.blockTable.reserve(static_cast<std::size_t>(numBlocks));
     for (std::uint64_t i = 0; i < numBlocks; ++i) {
       SgmyBlockEntry e;
@@ -250,12 +291,12 @@ GeoStatus tryReadSgmyHeader(const std::string& path, SgmyHeader* header,
     return fail(GeoStatus::kTruncated, detail,
                 "file ends inside the header in " + path);
   }
-  h.payloadStart = raw.size() - r.remaining();
+  h.payloadStart = pos;
 
   // Table-vs-file consistency: every payload must lie inside the payload
   // section and be large enough to hold its declared fluid sites. Overflow-
   // safe forms, since all three quantities come from the (untrusted) file.
-  const std::uint64_t payloadSection = raw.size() - h.payloadStart;
+  const std::uint64_t payloadSection = fileSize - h.payloadStart;
   const std::uint64_t numBlockCells =
       static_cast<std::uint64_t>(h.blockDims().x) *
       static_cast<std::uint64_t>(h.blockDims().y) *

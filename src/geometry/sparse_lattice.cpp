@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 namespace hemo::geometry {
 
@@ -24,8 +25,35 @@ void SparseLattice::addFluidSite(const Vec3i& pos, const SiteRecord& record) {
                  "site out of bounds " << pos);
   const Vec3i bc{pos.x / blockSize_, pos.y / blockSize_, pos.z / blockSize_};
   const Vec3i in{pos.x % blockSize_, pos.y % blockSize_, pos.z % blockSize_};
-  building_[blockLinear(bc)].push_back(
-      BuildSite{localLinear(in), pos, record});
+
+  // Compact the record: its non-bulk links go to cutLinks_, and it gets an
+  // EdgeRecord only if it has one or carries a wall normal.
+  const auto firstLink = cutLinks_.size();
+  bool touchesWall = false;
+  for (int d = 0; d < kNumDirections; ++d) {
+    const LinkInfo& l = record.links[static_cast<std::size_t>(d)];
+    if (l.kind == LinkKind::kBulk) {
+      HEMO_CHECK_MSG(l.wallDistance == 0.0f && l.ioletId == 0,
+                     "bulk link with boundary data at " << pos);
+      continue;
+    }
+    touchesWall = touchesWall || l.kind == LinkKind::kWall;
+    cutLinks_.push_back(CutLink{static_cast<std::uint8_t>(d), l.kind,
+                                l.ioletId, l.wallDistance});
+  }
+  std::uint32_t edge = kNoEdge;
+  const auto numLinks = cutLinks_.size() - firstLink;
+  if (numLinks > 0 || record.hasWallNormal != 0 ||
+      record.wallNormal != Vec3f{}) {
+    HEMO_CHECK_MSG(cutLinks_.size() <= kNoEdge && edges_.size() < kNoEdge,
+                   "too many edge sites for 32-bit edge indices");
+    edge = static_cast<std::uint32_t>(edges_.size());
+    edges_.push_back(EdgeRecord{static_cast<std::uint32_t>(firstLink),
+                                static_cast<std::uint8_t>(numLinks),
+                                static_cast<std::uint8_t>(touchesWall),
+                                record.hasWallNormal, record.wallNormal});
+  }
+  building_[blockLinear(bc)].push_back(BuildSite{localLinear(in), pos, edge});
 }
 
 void SparseLattice::finalize() {
@@ -50,7 +78,7 @@ void SparseLattice::finalize() {
   localToGlobal_.assign(keys.size() * cube, -1);
   blocks_.reserve(keys.size());
   positions_.reserve(totalSites);
-  records_.reserve(totalSites);
+  edgeIndex_.reserve(totalSites);
   std::uint64_t nextId = 0;
   for (const auto key : keys) {
     auto& sites = building_.at(key);
@@ -76,10 +104,10 @@ void SparseLattice::finalize() {
 
     for (std::size_t local = 0; local < cube; ++local) {
       if (table[local] < 0) continue;
-      auto& s = sites[static_cast<std::size_t>(table[local])];
+      const auto& s = sites[static_cast<std::size_t>(table[local])];
       table[local] = static_cast<std::int64_t>(nextId++);
       positions_.push_back(s.pos);
-      records_.push_back(std::move(s.record));
+      edgeIndex_.push_back(s.edge);
       fluidBounds_.expand(s.pos);
     }
     blockIndex_[static_cast<std::size_t>(key)] =
@@ -88,7 +116,43 @@ void SparseLattice::finalize() {
     std::vector<BuildSite>().swap(sites);  // free the build copy as we go
   }
   building_.clear();
+  edges_.shrink_to_fit();
+  cutLinks_.shrink_to_fit();
   finalized_ = true;
+}
+
+SiteRecord SparseLattice::site(std::uint64_t id) const {
+  SiteRecord rec;
+  const EdgeRecord* e = edgeOf(id);
+  if (e == nullptr) return rec;
+  for (std::uint32_t i = 0; i < e->numLinks; ++i) {
+    const CutLink& c = cutLinks_[e->firstLink + i];
+    rec.links[c.direction] = LinkInfo{c.kind, c.wallDistance, c.ioletId};
+  }
+  rec.wallNormal = e->wallNormal;
+  rec.hasWallNormal = e->hasWallNormal;
+  return rec;
+}
+
+LinkInfo SparseLattice::link(std::uint64_t id, int direction) const {
+  const EdgeRecord* e = edgeOf(id);
+  if (e == nullptr) return {};
+  for (std::uint32_t i = 0; i < e->numLinks; ++i) {
+    const CutLink& c = cutLinks_[e->firstLink + i];
+    if (c.direction == direction) {
+      return LinkInfo{c.kind, c.wallDistance, c.ioletId};
+    }
+  }
+  return {};
+}
+
+std::size_t SparseLattice::storageBytes() const {
+  auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  return bytes(blockIndex_) + bytes(localToGlobal_) + bytes(blocks_) +
+         bytes(positions_) + bytes(edgeIndex_) + bytes(edges_) +
+         bytes(cutLinks_) + bytes(iolets_);
 }
 
 std::size_t SparseLattice::blockOfSite(std::uint64_t id) const {

@@ -25,6 +25,12 @@ namespace hemo::geometry {
 /// Site ids are assigned in block-scan order: blocks ascending by row-major
 /// block linear index, sites within a block ascending by row-major local
 /// index. This ordering is part of the .sgmy format contract.
+///
+/// Boundary data is stored for edge sites only, the second level of the
+/// same store-only-what-is-there idea: a bulk site (all 26 links kBulk, no
+/// wall normal) costs one 4 B "no edge" index; an edge site points at an
+/// EdgeRecord (wall normal, flags) whose run of 8 B CutLinks holds its
+/// non-bulk links. site() rebuilds the full SiteRecord from these tables.
 class SparseLattice {
  public:
   struct BlockInfo {
@@ -38,7 +44,8 @@ class SparseLattice {
 
   // --- building (before finalize) ---------------------------------------
 
-  /// Register a fluid site. Positions must be unique and inside dims.
+  /// Register a fluid site. Positions must be unique and inside dims. A
+  /// kBulk link must carry no distance or iolet id (it is not stored).
   void addFluidSite(const Vec3i& pos, const SiteRecord& record);
 
   void setIolets(std::vector<Iolet> iolets) { iolets_ = std::move(iolets); }
@@ -79,9 +86,29 @@ class SparseLattice {
   const Vec3i& sitePosition(std::uint64_t id) const {
     return positions_[static_cast<std::size_t>(id)];
   }
-  const SiteRecord& site(std::uint64_t id) const {
-    return records_[static_cast<std::size_t>(id)];
+  /// The full boundary record of a site, rebuilt from the edge tables.
+  /// Returned by value: use link() for one link, and never bind a
+  /// reference into the returned record beyond the full expression.
+  SiteRecord site(std::uint64_t id) const;
+
+  /// Link `direction` (26-set) of a site; kBulk with no data for a bulk link.
+  LinkInfo link(std::uint64_t id, int direction) const;
+
+  /// Some link of the site is not kBulk. O(1).
+  bool isEdgeSite(std::uint64_t id) const {
+    const EdgeRecord* e = edgeOf(id);
+    return e != nullptr && e->numLinks > 0;
   }
+
+  /// Some link of the site is kWall. O(1).
+  bool touchesWall(std::uint64_t id) const {
+    const EdgeRecord* e = edgeOf(id);
+    return e != nullptr && e->touchesWall != 0;
+  }
+
+  /// Heap bytes of the finalized lattice: ids, positions, the block index
+  /// and the edge tables (capacity, not size, of each array).
+  std::size_t storageBytes() const;
 
   /// World-space position of a site centre.
   Vec3d siteWorld(std::uint64_t id) const {
@@ -126,6 +153,31 @@ class SparseLattice {
   }
 
  private:
+  /// One non-bulk link of an edge site.
+  struct CutLink {
+    std::uint8_t direction;  ///< index into kDirections
+    LinkKind kind;
+    std::uint16_t ioletId;
+    float wallDistance;
+  };
+
+  /// Boundary data of one edge site: its run in the CutLink table and its
+  /// wall normal.
+  struct EdgeRecord {
+    std::uint32_t firstLink;
+    std::uint8_t numLinks;
+    std::uint8_t touchesWall;    ///< some cut link is kWall
+    std::uint8_t hasWallNormal;  ///< SiteRecord::hasWallNormal, as given
+    Vec3f wallNormal;
+  };
+
+  static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
+
+  const EdgeRecord* edgeOf(std::uint64_t id) const {
+    const std::uint32_t e = edgeIndex_[static_cast<std::size_t>(id)];
+    return e == kNoEdge ? nullptr : &edges_[e];
+  }
+
   std::size_t blockVolume() const {
     return static_cast<std::size_t>(blockSize_) *
            static_cast<std::size_t>(blockSize_) *
@@ -139,11 +191,12 @@ class SparseLattice {
   Vec3i blockDims_;
   std::vector<Iolet> iolets_;
 
-  // Build phase: position + record pairs per block.
+  // Build phase: the sites of each block with their edge index; edges_ and
+  // cutLinks_ are filled in insertion order and kept as they are.
   struct BuildSite {
     int local;
     Vec3i pos;
-    SiteRecord record;
+    std::uint32_t edge;
   };
   std::unordered_map<std::uint64_t, std::vector<BuildSite>> building_;
 
@@ -157,7 +210,10 @@ class SparseLattice {
   std::vector<std::int64_t> localToGlobal_;
   std::vector<BlockInfo> blocks_;
   std::vector<Vec3i> positions_;
-  std::vector<SiteRecord> records_;
+  /// Site id -> index into edges_, or kNoEdge for a bulk site.
+  std::vector<std::uint32_t> edgeIndex_;
+  std::vector<EdgeRecord> edges_;
+  std::vector<CutLink> cutLinks_;
   BoxI fluidBounds_ = BoxI::empty();
 };
 

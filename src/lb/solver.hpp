@@ -524,8 +524,7 @@ class Solver {
                            static_cast<std::uint64_t>(i));
           }
         } else {
-          const auto& link =
-              lat.site(g).links[static_cast<std::size_t>(upDir)];
+          const auto link = lat.link(g, upDir);
           HEMO_CHECK_MSG(link.kind != geometry::LinkKind::kBulk,
                          "voxelizer/link inconsistency at site " << g);
           if (link.kind == geometry::LinkKind::kWall) {
@@ -654,7 +653,7 @@ class Solver {
         frontierSlots_[static_cast<std::size_t>(in) * nf + l] =
             local ? slotOf(i, to) : slotOf(in, l);
         if (down < 0) {
-          const auto& link = lat.site(g).links[static_cast<std::size_t>(gd)];
+          const auto link = lat.link(g, gd);
           if (link.kind != geometry::LinkKind::kWall) {
             ioletOps_.push_back(
                 {l, link.ioletId, static_cast<std::uint8_t>(in)});

@@ -29,8 +29,9 @@ inline std::vector<WssSample> computeWallShearStress(
   const auto& lat = domain.lattice();
   for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
     const std::uint64_t g = domain.globalOf(l);
-    const auto& rec = lat.site(g);
-    if (!rec.hasWallNormal || !rec.touchesWall()) continue;
+    if (!lat.touchesWall(g)) continue;
+    const auto rec = lat.site(g);
+    if (!rec.hasWallNormal) continue;
     const Vec3d n = rec.wallNormal.cast<double>().normalized();
     const Vec3d t = macro.stress[static_cast<std::size_t>(l)].apply(n);
     const Vec3d tangential = t - n * n.dot(t);

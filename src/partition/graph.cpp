@@ -11,6 +11,9 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
   HEMO_CHECK(lattice.finalized());
   SiteGraph g;
   g.numVertices = lattice.numFluidSites();
+  HEMO_CHECK_MSG(g.numVertices < (std::uint64_t{1} << 32),
+                 "site graph needs 32-bit vertex ids, lattice has "
+                     << g.numVertices << " sites");
   const auto n = static_cast<std::size_t>(g.numVertices);
   g.xadj.assign(n + 1, 0);
   g.vertexWeight.assign(n, 1.0);
@@ -36,7 +39,7 @@ SiteGraph buildSiteGraph(const geometry::SparseLattice& lattice) {
       auto out = static_cast<std::size_t>(g.xadj[static_cast<std::size_t>(v)]);
       for (int d = 0; d < geometry::kNumDirections; ++d) {
         const auto u = lattice.neighborId(v, d);
-        if (u >= 0) g.adjncy[out++] = static_cast<std::uint64_t>(u);
+        if (u >= 0) g.adjncy[out++] = static_cast<std::uint32_t>(u);
       }
     }
   });

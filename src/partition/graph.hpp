@@ -17,8 +17,9 @@ struct SiteGraph {
   std::uint64_t numVertices = 0;
   /// CSR offsets, size numVertices+1.
   std::vector<std::uint64_t> xadj;
-  /// Neighbour vertex ids, size xadj.back(). Both directions stored.
-  std::vector<std::uint64_t> adjncy;
+  /// Neighbour vertex ids, size xadj.back(). Both directions stored;
+  /// 32-bit, so a graph holds fewer than 2^32 vertices.
+  std::vector<std::uint32_t> adjncy;
   /// Per-vertex workload weight. Defaults to 1 (pure fluid-solver cost);
   /// the vis-aware balance experiments add visualisation cost here.
   std::vector<double> vertexWeight;

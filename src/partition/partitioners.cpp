@@ -255,8 +255,9 @@ namespace {
 /// finest level is the SiteGraph itself, whose edges all weigh 1.
 struct WGraph {
   std::vector<std::uint64_t> xadj;
-  std::vector<std::uint64_t> adjncy;
-  std::vector<double> edgeWeight;
+  std::vector<std::uint32_t> adjncy;
+  /// Sums of unit fine edges: integers, held exactly in 32 bits.
+  std::vector<std::uint32_t> edgeWeight;
   std::vector<double> vertexWeight;
 };
 
@@ -269,10 +270,10 @@ double edgeWeightOf(const WGraph& g, std::size_t e) { return g.edgeWeight[e]; }
 /// of fine vertices, or one fine vertex left unmatched.
 struct Matching {
   /// Fine vertex -> coarse vertex.
-  std::vector<std::uint64_t> coarseOf;
+  std::vector<std::uint32_t> coarseOf;
   /// Fine vertex -> the fine vertex it is matched with (itself if none).
-  std::vector<std::uint64_t> partner;
-  std::uint64_t coarseCount = 0;
+  std::vector<std::uint32_t> partner;
+  std::uint32_t coarseCount = 0;
 };
 
 /// Heavy-edge matching in a seeded random visit order; coarse ids follow
@@ -280,19 +281,19 @@ struct Matching {
 template <typename Graph>
 Matching heavyEdgeMatch(const Graph& g, Rng& rng) {
   const auto n = numVerticesOf(g);
-  std::vector<std::uint64_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::uint32_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0u);
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.uniformInt(i)]);
   }
-  constexpr std::uint64_t kUnmatched = ~0ULL;
+  constexpr std::uint32_t kUnmatched = ~std::uint32_t{0};
   Matching m;
   auto& match = m.partner;
   match.assign(static_cast<std::size_t>(n), kUnmatched);
   m.coarseOf.resize(static_cast<std::size_t>(n));
   for (const auto v : order) {
     if (match[static_cast<std::size_t>(v)] != kUnmatched) continue;
-    std::uint64_t best = v;
+    std::uint32_t best = v;
     double bestW = -1.0;
     for (std::uint64_t e = g.xadj[static_cast<std::size_t>(v)];
          e < g.xadj[static_cast<std::size_t>(v) + 1]; ++e) {
@@ -338,8 +339,8 @@ WGraph buildCoarse(const Graph& fine, const Matching& m) {
     parallelFor(numVerticesOf(fine), [&](std::uint64_t begin,
                                          std::uint64_t end) {
       std::vector<std::uint32_t> slotOf(n, 0);
-      std::vector<std::pair<std::uint64_t, double>> row;
-      auto gather = [&](std::size_t f, std::uint64_t cv) {
+      std::vector<std::pair<std::uint32_t, double>> row;
+      auto gather = [&](std::size_t f, std::uint32_t cv) {
         for (auto e = static_cast<std::size_t>(fine.xadj[f]);
              e < fine.xadj[f + 1]; ++e) {
           const auto cu = m.coarseOf[static_cast<std::size_t>(fine.adjncy[e])];
@@ -381,7 +382,7 @@ WGraph buildCoarse(const Graph& fine, const Matching& m) {
     auto out = static_cast<std::size_t>(c.xadj[cv]);
     for (const auto& [cu, w] : row) {
       c.adjncy[out] = cu;
-      c.edgeWeight[out] = w;
+      c.edgeWeight[out] = static_cast<std::uint32_t>(w);
       ++out;
     }
   });
@@ -469,7 +470,7 @@ Partition MultilevelKWayPartitioner::partition(const SiteGraph& graph,
   // Coarsening chain. Level 0 is the site graph itself; level k > 0 is
   // coarse[k - 1], contracted from level k - 1 through coarseMaps[k - 1].
   std::vector<WGraph> coarse;
-  std::vector<std::vector<std::uint64_t>> coarseMaps;
+  std::vector<std::vector<std::uint32_t>> coarseMaps;
   auto onLevel = [&](std::size_t k, auto&& fn) {
     return k == 0 ? fn(graph) : fn(coarse[k - 1]);
   };

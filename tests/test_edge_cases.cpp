@@ -12,6 +12,7 @@
 #include "geometry/shapes.hpp"
 #include "geometry/sparse_lattice.hpp"
 #include "geometry/voxelizer.hpp"
+#include "io/serial.hpp"
 #include "multires/octree.hpp"
 #include "partition/partitioners.hpp"
 #include "vis/camera.hpp"
@@ -259,6 +260,142 @@ TEST(ProtocolRobustness, TruncatedBlockPayloadThrows) {
                    header, header.blockTable[0].blockLinear, payload),
                CheckError);
   std::remove(path.c_str());
+}
+
+/// One site's block payload, as encodeBlockPayload lays it out: local
+/// index, link 0 of `kind` (with distance and, unless a wall, iolet id),
+/// 25 bulk links, no normal.
+std::vector<std::byte> oneSitePayload(std::uint16_t local, std::uint8_t kind,
+                                      std::uint16_t ioletId) {
+  io::Writer w;
+  w.put<std::uint16_t>(local);
+  w.put<std::uint8_t>(kind);
+  if (kind != 0) {
+    w.put<float>(0.5f);
+    if (kind != 1) w.put<std::uint16_t>(ioletId);
+  }
+  for (int d = 1; d < geometry::kNumDirections; ++d) w.put<std::uint8_t>(0);
+  w.put<std::uint8_t>(0);
+  return w.take();
+}
+
+/// A 16³ lattice of 8³ blocks with an inlet and an outlet.
+geometry::SgmyHeader twoIoletHeader() {
+  geometry::SgmyHeader h;
+  h.dims = {16, 16, 16};
+  h.blockSize = 8;
+  h.iolets.resize(2);
+  return h;
+}
+
+TEST(ProtocolRobustness, BlockPayloadDecodesWellFormedSite) {
+  const auto h = twoIoletHeader();
+  const auto sites =
+      geometry::decodeBlockPayload(h, 1, oneSitePayload(511, 3, 1));
+  ASSERT_EQ(sites.size(), 1u);
+  EXPECT_EQ(sites[0].position, (Vec3i{15, 7, 7}));
+  EXPECT_EQ(sites[0].record.links[0].kind, geometry::LinkKind::kOutlet);
+  EXPECT_EQ(sites[0].record.links[0].ioletId, 1);
+}
+
+TEST(ProtocolRobustness, UnknownLinkKindInBlockPayloadThrows) {
+  // Kind 4 is no LinkKind; read as an iolet it would pass unchecked.
+  EXPECT_THROW(
+      geometry::decodeBlockPayload(twoIoletHeader(), 0, oneSitePayload(0, 4, 0)),
+      CheckError);
+}
+
+TEST(ProtocolRobustness, IoletIdBeyondTheTableInBlockPayloadThrows) {
+  // The solver indexes its per-iolet tables with this id every step.
+  EXPECT_THROW(
+      geometry::decodeBlockPayload(twoIoletHeader(), 0, oneSitePayload(0, 2, 2)),
+      CheckError);
+}
+
+TEST(ProtocolRobustness, LocalIndexOutsideTheBlockInBlockPayloadThrows) {
+  // 512 = 8³ would land the site in the next block.
+  EXPECT_THROW(geometry::decodeBlockPayload(twoIoletHeader(), 0,
+                                            oneSitePayload(512, 0, 0)),
+               CheckError);
+}
+
+TEST(ProtocolRobustness, SitePastTheLatticeInBlockPayloadThrows) {
+  // A 12-wide lattice pads block 1 (x 8..15): local index 5 is x = 13.
+  auto h = twoIoletHeader();
+  h.dims.x = 12;
+  EXPECT_THROW(geometry::decodeBlockPayload(h, 1, oneSitePayload(5, 0, 0)),
+               CheckError);
+}
+
+TEST(ProtocolRobustness, MutatedBlockPayloadsDecodeOrThrow) {
+  // Seeded byte flips and truncations of a real block payload: each either
+  // throws CheckError or decodes to sites the lattice can take — a known
+  // link kind, an iolet id inside the table, a position inside the block
+  // and the lattice.
+  geometry::VoxelizeOptions opt;
+  opt.voxelSize = 0.3;
+  const auto lat =
+      geometry::voxelize(geometry::makeStraightTube(3.0, 1.0), opt);
+  const std::string path = "/tmp/hemo_test_mutpayload.sgmy";
+  ASSERT_TRUE(geometry::writeSgmy(path, lat));
+  const auto header = geometry::readSgmyHeader(path);
+  const auto payloads =
+      geometry::readSgmyBlockPayloads(path, header, 0, header.blockTable.size());
+  std::remove(path.c_str());
+  // The largest payload carries the most cut links.
+  std::size_t pick = 0;
+  for (std::size_t i = 1; i < payloads.size(); ++i) {
+    if (payloads[i].size() > payloads[pick].size()) pick = i;
+  }
+  const auto& original = payloads[pick];
+  const std::uint64_t blockLinear = header.blockTable[pick].blockLinear;
+  const int B = header.blockSize;
+  const Vec3i bd = header.blockDims();
+  const Vec3i blockCoord{
+      static_cast<int>(blockLinear % static_cast<std::uint64_t>(bd.x)),
+      static_cast<int>(blockLinear / static_cast<std::uint64_t>(bd.x) %
+                       static_cast<std::uint64_t>(bd.y)),
+      static_cast<int>(blockLinear / static_cast<std::uint64_t>(bd.x) /
+                       static_cast<std::uint64_t>(bd.y))};
+
+  Rng rng(1806);
+  int threw = 0, decoded = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto bytes = original;
+    const auto mode = rng.uniformInt(3);
+    if (mode != 1) {
+      const auto flips = 1 + rng.uniformInt(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        bytes[rng.uniformInt(bytes.size())] =
+            static_cast<std::byte>(rng.uniformInt(256));
+      }
+    }
+    if (mode != 0) bytes.resize(rng.uniformInt(bytes.size() + 1));
+    std::vector<geometry::DecodedSite> sites;
+    try {
+      sites = geometry::decodeBlockPayload(header, blockLinear, bytes);
+    } catch (const CheckError&) {
+      ++threw;
+      continue;
+    }
+    ++decoded;
+    for (const auto& s : sites) {
+      for (int a = 0; a < 3; ++a) {
+        ASSERT_EQ(s.position[a] / B, blockCoord[a]) << "trial " << trial;
+        ASSERT_LT(s.position[a], header.dims[a]) << "trial " << trial;
+      }
+      for (const auto& link : s.record.links) {
+        const auto kind = static_cast<int>(link.kind);
+        ASSERT_LE(kind, 3) << "trial " << trial;
+        if (kind >= 2) {
+          ASSERT_LT(link.ioletId, header.iolets.size()) << "trial " << trial;
+        }
+      }
+    }
+  }
+  // Both outcomes occur: flips inside a distance or a normal decode fine.
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(decoded, 0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "comm/runtime.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "geometry/parallel_reader.hpp"
 #include "geometry/sgmy.hpp"
@@ -257,6 +258,100 @@ TEST(SparseLattice, SiteIdMatchesBruteForce) {
   }
 }
 
+TEST(SparseLattice, EdgeTablesRebuildEveryRecordExactly) {
+  // Seeded hand-built records: random cut links of every kind and iolet,
+  // plus the corner cases of the compact storage — an all-bulk site, a
+  // site with all 26 links cut, a wall normal without any cut link.
+  const Vec3i dims{12, 10, 9};
+  SparseLattice lat(dims, 1.0, Vec3d{0.0, 0.0, 0.0}, 4);
+  lat.setIolets(std::vector<Iolet>(3));
+  Rng rng(2024);
+  std::map<std::tuple<int, int, int>, SiteRecord> input;
+  for (int z = 0; z < dims.z; ++z) {
+    for (int y = 0; y < dims.y; ++y) {
+      for (int x = 0; x < dims.x; ++x) {
+        if (rng.uniformInt(4) == 0) continue;
+        SiteRecord rec;
+        const auto k = input.size();
+        for (int d = 0; d < kNumDirections; ++d) {
+          if (k == 0 || k == 2 || (k != 1 && rng.uniformInt(5) != 0)) continue;
+          auto& link = rec.links[static_cast<std::size_t>(d)];
+          link.kind = static_cast<LinkKind>(1 + rng.uniformInt(3));
+          link.wallDistance =
+              static_cast<float>(1 + rng.uniformInt(1000)) / 1000.0f;
+          if (link.kind != LinkKind::kWall) {
+            link.ioletId = static_cast<std::uint16_t>(rng.uniformInt(3));
+          }
+        }
+        if (k == 2 || (k > 2 && rng.uniformInt(2) == 0)) {
+          rec.hasWallNormal = 1;
+          rec.wallNormal = Vec3f{static_cast<float>(rng.uniformInt(9)) - 4.f,
+                                 0.5f, -0.25f};
+        }
+        lat.addFluidSite({x, y, z}, rec);
+        input[{x, y, z}] = rec;
+      }
+    }
+  }
+  lat.finalize();
+  ASSERT_EQ(lat.numFluidSites(), input.size());
+
+  int bulk = 0, allCut = 0, normalOnly = 0, iolet = 0;
+  for (std::uint64_t id = 0; id < lat.numFluidSites(); ++id) {
+    const Vec3i& p = lat.sitePosition(id);
+    const SiteRecord& want = input.at({p.x, p.y, p.z});
+    const SiteRecord got = lat.site(id);
+    int cut = 0;
+    for (int d = 0; d < kNumDirections; ++d) {
+      const auto& w = want.links[static_cast<std::size_t>(d)];
+      const auto& g = got.links[static_cast<std::size_t>(d)];
+      ASSERT_EQ(static_cast<int>(g.kind), static_cast<int>(w.kind));
+      ASSERT_EQ(g.wallDistance, w.wallDistance);
+      ASSERT_EQ(g.ioletId, w.ioletId);
+      const LinkInfo one = lat.link(id, d);
+      ASSERT_EQ(static_cast<int>(one.kind), static_cast<int>(g.kind));
+      ASSERT_EQ(one.wallDistance, g.wallDistance);
+      ASSERT_EQ(one.ioletId, g.ioletId);
+      cut += w.kind != LinkKind::kBulk;
+      iolet += w.kind == LinkKind::kInlet || w.kind == LinkKind::kOutlet;
+    }
+    ASSERT_EQ(got.hasWallNormal, want.hasWallNormal);
+    ASSERT_EQ(got.wallNormal, want.wallNormal);
+    ASSERT_EQ(lat.isEdgeSite(id), want.isEdgeSite()) << "site " << id;
+    ASSERT_EQ(lat.touchesWall(id), want.touchesWall()) << "site " << id;
+    bulk += cut == 0 && !want.hasWallNormal;
+    allCut += cut == kNumDirections;
+    normalOnly += cut == 0 && want.hasWallNormal;
+  }
+  EXPECT_GT(bulk, 0);
+  EXPECT_EQ(allCut, 1);
+  EXPECT_GT(normalOnly, 0);
+  EXPECT_GT(iolet, 0);
+
+  // A bulk link has nothing to store, so data on one is refused.
+  SparseLattice bad(dims, 1.0, Vec3d{0.0, 0.0, 0.0}, 4);
+  SiteRecord rec;
+  rec.links[3].wallDistance = 0.5f;
+  EXPECT_THROW(bad.addFluidSite({0, 0, 0}, rec), CheckError);
+}
+
+TEST(SparseLattice, StorageStaysUnder80BytesPerSite) {
+  // Memory guard: a bulk site costs its position, its id slot and a 4 B
+  // edge index; only edge sites carry link records. A per-site 26-link
+  // record (about 356 B per site) fails this by a wide margin.
+  VoxelizeOptions opt;
+  opt.voxelSize = 0.1;
+  const auto lat = voxelize(makeAneurysmVessel(6.0, 1.0, 1.2), opt);
+  const auto n = lat.numFluidSites();
+  ASSERT_GT(n, 20000u);
+  std::uint64_t edge = 0;
+  for (std::uint64_t id = 0; id < n; ++id) edge += lat.isEdgeSite(id);
+  EXPECT_GT(edge * 5, n);  // a fifth or more are edge sites
+  EXPECT_LE(lat.storageBytes(), 80 * n)
+      << static_cast<double>(lat.storageBytes()) / static_cast<double>(n)
+      << " B per site";
+}
+
 TEST(Sgmy, RoundTripPreservesEverything) {
   VoxelizeOptions opt;
   opt.voxelSize = 0.3;
@@ -283,6 +378,27 @@ TEST(Sgmy, RoundTripPreservesEverything) {
       ASSERT_EQ(lb.ioletId, la.ioletId);
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(Sgmy, WriteBytesUnchanged) {
+  // The in-memory storage is not part of the format: the bytes written for
+  // the voxelized test aneurysm are pinned by an FNV-1a digest.
+  VoxelizeOptions opt;
+  opt.voxelSize = 0.3;
+  const auto lat = voxelize(makeAneurysmVessel(5.0, 1.0, 1.0), opt);
+  const std::string path = "/tmp/hemo_test_writebytes.sgmy";
+  ASSERT_TRUE(writeSgmy(path, lat));
+  std::ifstream f(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 45663u);
+  EXPECT_EQ(digest, 0xc9c43b95bc35109bULL);
   std::remove(path.c_str());
 }
 
