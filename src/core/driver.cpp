@@ -938,12 +938,18 @@ MigrationOutcome SimulationDriver::migrateNow(
   HEMO_CHECK(siteCost.size() == lat.numFluidSites());
   MigrationOutcome out;
 
-  if (!repartGraph_) {
-    repartGraph_ = std::make_unique<partition::SiteGraph>(
-        partition::buildSiteGraph(lat));
+  // Sub-spans split the stall by step in a trace: plan, transfer, solver,
+  // ghosts, octree.
+  partition::RepartitionResult plan;
+  {
+    HEMO_TSPAN(kPartition, "driver.migrate.plan");
+    if (!repartGraph_) {
+      repartGraph_ = std::make_unique<partition::SiteGraph>(
+          partition::buildSiteGraph(lat));
+    }
+    plan = partition::rebalance(*repartGraph_, domain_->partition(), siteCost,
+                                config_.repartition.options);
   }
-  auto plan = partition::rebalance(*repartGraph_, domain_->partition(),
-                                   siteCost, config_.repartition.options);
   out.sitesMoved = plan.sitesMoved;
   out.imbalanceBefore = plan.imbalanceBefore;
   out.imbalanceAfter = plan.imbalanceAfter;
@@ -970,39 +976,48 @@ MigrationOutcome SimulationDriver::migrateNow(
   const std::uint64_t stepsDone = solver_->stepsDone();
   auto newPartition =
       std::make_unique<partition::Partition>(std::move(plan.partition));
-  auto newDomain =
-      std::make_unique<lb::DomainMap>(lat, *newPartition, comm_->rank());
-
-  // Data plane: repack distributions onto the new ownership (collective,
-  // layout-agnostic, traffic class kRepart).
+  std::unique_ptr<lb::DomainMap> newDomain;
   std::vector<std::vector<double>> columns;
-  const auto stats =
-      lb::migrateDistributions(*solver_, *newDomain, *comm_, columns);
-
-  // Rebuild the solver over the new domain, carrying every piece of
-  // steerable state: LbParams (tau/body force already reflect steering),
-  // iolet overrides, the step counter, and finally the populations.
-  auto newSolver = std::make_unique<lb::SolverD3Q19>(*newDomain, *comm_,
-                                                     solver_->params());
-  for (std::size_t io = 0; io < lat.iolets().size(); ++io) {
-    newSolver->setIoletDensity(io, solver_->ioletDensity(io));
-    if (solver_->ioletIsVelocityBc(io)) {
-      newSolver->setIoletVelocity(io, solver_->ioletVelocity(io));
-    }
+  lb::MigrationStats stats;
+  {
+    // Data plane: repack distributions onto the new ownership (collective,
+    // layout-agnostic, traffic class kRepart).
+    HEMO_TSPAN(kPartition, "driver.migrate.transfer");
+    newDomain =
+        std::make_unique<lb::DomainMap>(lat, *newPartition, comm_->rank());
+    stats = lb::migrateDistributions(*solver_, *newDomain, *comm_, columns);
   }
-  newSolver->setDistributions(columns);
-  newSolver->setStepsDone(stepsDone);
-
-  solver_ = std::move(newSolver);
+  {
+    // Rebuild the solver over the new domain, carrying every piece of
+    // steerable state: LbParams (tau/body force already reflect steering),
+    // iolet overrides, the step counter, and finally the populations.
+    HEMO_TSPAN(kPartition, "driver.migrate.solver");
+    auto newSolver = std::make_unique<lb::SolverD3Q19>(*newDomain, *comm_,
+                                                       solver_->params());
+    for (std::size_t io = 0; io < lat.iolets().size(); ++io) {
+      newSolver->setIoletDensity(io, solver_->ioletDensity(io));
+      if (solver_->ioletIsVelocityBc(io)) {
+        newSolver->setIoletVelocity(io, solver_->ioletVelocity(io));
+      }
+    }
+    newSolver->setDistributions(columns);
+    newSolver->setStepsDone(stepsDone);
+    solver_ = std::move(newSolver);
+  }
   domain_ = newDomain.get();
   // Vis plumbing follows ownership: halo ghosts and the multires octree
   // are domain-shaped, so rebuild both (collective); pipeline stages and
   // serve subscriptions are domain-stateless and carry over untouched.
-  ghosts_ = std::make_unique<vis::GhostedField>(*newDomain, *comm_,
-                                                /*rings=*/2);
-  octree_ =
-      std::make_unique<multires::FieldOctree>(*newDomain,
-                                              config_.octreeLeafLog2);
+  {
+    HEMO_TSPAN(kPartition, "driver.migrate.ghosts");
+    ghosts_ = std::make_unique<vis::GhostedField>(*newDomain, *comm_,
+                                                  /*rings=*/2);
+  }
+  {
+    HEMO_TSPAN(kPartition, "driver.migrate.octree");
+    octree_ = std::make_unique<multires::FieldOctree>(*newDomain,
+                                                      config_.octreeLeafLog2);
+  }
   liveDomain_ = std::move(newDomain);
   livePartition_ = std::move(newPartition);
   ++migrationEpoch_;

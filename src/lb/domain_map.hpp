@@ -5,11 +5,11 @@
 /// the solver and every in situ visualisation algorithm.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/sparse_lattice.hpp"
 #include "partition/graph.hpp"
+#include "util/check.hpp"
 
 namespace hemo::lb {
 
@@ -18,9 +18,14 @@ class DomainMap {
   DomainMap(const geometry::SparseLattice& lattice,
             const partition::Partition& partition, int myRank)
       : lattice_(&lattice), partition_(&partition), rank_(myRank) {
-    for (std::uint64_t g = 0; g < lattice.numFluidSites(); ++g) {
+    const std::uint64_t n = lattice.numFluidSites();
+    HEMO_CHECK_MSG(n < kNotOwned,
+                   "site count does not fit the 32-bit ownership index");
+    localOf_.assign(static_cast<std::size_t>(n), kNotOwned);
+    for (std::uint64_t g = 0; g < n; ++g) {
       if (partition.partOfSite[static_cast<std::size_t>(g)] == myRank) {
-        localOf_.emplace(g, static_cast<std::uint32_t>(ownedIds_.size()));
+        localOf_[static_cast<std::size_t>(g)] =
+            static_cast<std::uint32_t>(ownedIds_.size());
         ownedIds_.push_back(g);
       }
     }
@@ -39,9 +44,11 @@ class DomainMap {
   }
 
   /// Local index of a global site, or -1 if not owned by this rank.
+  /// O(1): one read of the dense ownership index.
   std::int64_t localOf(std::uint64_t global) const {
-    const auto it = localOf_.find(global);
-    return it == localOf_.end() ? -1 : static_cast<std::int64_t>(it->second);
+    if (global >= localOf_.size()) return -1;
+    const std::uint32_t l = localOf_[static_cast<std::size_t>(global)];
+    return l == kNotOwned ? -1 : static_cast<std::int64_t>(l);
   }
 
   /// Which rank owns a global site.
@@ -53,8 +60,11 @@ class DomainMap {
   const geometry::SparseLattice* lattice_;
   const partition::Partition* partition_;
   int rank_;
+  static constexpr std::uint32_t kNotOwned = 0xFFFFFFFFu;
+
   std::vector<std::uint64_t> ownedIds_;
-  std::unordered_map<std::uint64_t, std::uint32_t> localOf_;
+  /// Per global site: its local index here, or kNotOwned (4 B per site).
+  std::vector<std::uint32_t> localOf_;
 };
 
 /// Hot-path site permutation built by the solver over a rank's owned sites.

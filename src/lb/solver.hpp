@@ -420,66 +420,28 @@ class Solver {
   /// Site reordering, halo plans, and the streaming tables of the selected
   /// kernel: the pull table for the reference oracle, the run tables for
   /// the production kernel (never both).
+  ///
+  /// One pass over the owned sites in external order looks up each
+  /// (site, direction) neighbour once and classifies the site: bulk (every
+  /// pull is local) or frontier. Frontier sites keep external order, so a
+  /// frontier site's rank among them is already its internal index and its
+  /// halo needs and iolet links are recorded on the spot. Everything that
+  /// names a local neighbour is kept as an external index until the bulk
+  /// sites are sorted row-major, then translated.
   void buildTables() {
     const auto& lat = domain_->lattice();
     const auto& set = Lattice::kSet;
-    const std::size_t n = domain_->numOwned();
+    const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     const bool reference = params_.kernel == LbParams::Kernel::kReference;
+    constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-    // --- classify owned sites: bulk (every pull is local) vs frontier ----
-    std::vector<std::uint8_t> isFrontier(n, 0);
-    for (std::size_t e = 0; e < n; ++e) {
-      const std::uint64_t g = domain_->globalOf(static_cast<std::uint32_t>(e));
-      for (int i = 1; i < kQ; ++i) {
-        const int gd = set.geoDir[static_cast<std::size_t>(i)];
-        const auto upstream = lat.neighborId(g, geometry::oppositeDirection(gd));
-        if (upstream < 0 ||
-            domain_->ownerOf(static_cast<std::uint64_t>(upstream)) !=
-                domain_->rank()) {
-          isFrontier[e] = 1;
-          break;
-        }
-      }
-    }
-
-    // --- internal ordering: frontier first (stable), bulk row-major -----
-    reorder_.externalOf.clear();
-    reorder_.externalOf.reserve(n);
-    for (std::size_t e = 0; e < n; ++e) {
-      if (isFrontier[e]) {
-        reorder_.externalOf.push_back(static_cast<std::uint32_t>(e));
-      }
-    }
-    reorder_.numFrontier = static_cast<std::uint32_t>(reorder_.externalOf.size());
-    // Row-major (x fastest): consecutive internal indices are x-consecutive
-    // sites, so the per-direction neighbour slots decompose into long
-    // unit-stride runs (the propagation-optimised layout).
-    const auto rowMajorKey = [](const Vec3i& p) -> std::uint64_t {
-      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.z))
-              << 42) |
-             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.y))
-              << 21) |
-             static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x));
-    };
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> bulk;
-    bulk.reserve(n - reorder_.numFrontier);
-    for (std::size_t e = 0; e < n; ++e) {
-      if (!isFrontier[e]) {
-        bulk.emplace_back(
-            rowMajorKey(lat.sitePosition(
-                domain_->globalOf(static_cast<std::uint32_t>(e)))),
-            static_cast<std::uint32_t>(e));
-      }
-    }
-    std::sort(bulk.begin(), bulk.end());
-    for (const auto& [key, e] : bulk) reorder_.externalOf.push_back(e);
-    reorder_.internalOf.assign(n, 0);
-    for (std::size_t l = 0; l < n; ++l) {
-      reorder_.internalOf[reorder_.externalOf[l]] =
-          static_cast<std::uint32_t>(l);
-    }
-
-    // --- halo needs (+ the reference pull table), internal order --------
+    // Per direction i, the external local index of each site's downstream
+    // neighbour (kNone when it is not local). A column holds one entry per
+    // owned site: bulk sites fill it from the front in external order,
+    // frontier sites (production kernel only) from the back.
+    std::array<std::vector<std::uint32_t>, kQ> down;
+    for (int i = 1; i < kQ; ++i) down[static_cast<std::size_t>(i)].resize(n);
+    std::vector<std::uint32_t> bulkExternal;
     if (reference) {
       for (int i = 1; i < kQ; ++i) {
         pull_[static_cast<std::size_t>(i)].assign(n, PullSrc{});
@@ -496,35 +458,59 @@ class Solver {
       std::uint32_t pos;  ///< position within needs[owner]
     };
     std::vector<RecvRef> recvRefs;
-    for (std::size_t l = 0; l < n; ++l) {
-      const std::uint64_t g =
-          domain_->globalOf(reorder_.externalOf[l]);
+    reorder_.externalOf.clear();
+    reorder_.externalOf.reserve(n);
+    ioletOps_.clear();
+
+    std::array<std::int64_t, kQ> downId{};
+    std::array<std::uint32_t, kQ> downLocal{};
+    std::array<geometry::LinkInfo, kQ> missing{};
+    for (std::uint32_t e = 0; e < n; ++e) {
+      const std::uint64_t g = domain_->globalOf(e);
+      bool bulk = true;
       for (int i = 1; i < kQ; ++i) {
-        const int gd = set.geoDir[static_cast<std::size_t>(i)];
-        const int upDir = geometry::oppositeDirection(gd);
-        const auto upstream = lat.neighborId(g, upDir);
+        const auto d =
+            lat.neighborId(g, set.geoDir[static_cast<std::size_t>(i)]);
+        const auto local =
+            d < 0 ? -1 : domain_->localOf(static_cast<std::uint64_t>(d));
+        downId[static_cast<std::size_t>(i)] = d;
+        downLocal[static_cast<std::size_t>(i)] =
+            local < 0 ? kNone : static_cast<std::uint32_t>(local);
+        bulk = bulk && local >= 0;
+      }
+      if (bulk) {
+        const auto b = bulkExternal.size();
+        for (int i = 1; i < kQ; ++i) {
+          down[static_cast<std::size_t>(i)][b] =
+              downLocal[static_cast<std::size_t>(i)];
+        }
+        bulkExternal.push_back(e);
+        continue;
+      }
+      const auto l = static_cast<std::uint32_t>(reorder_.externalOf.size());
+      reorder_.externalOf.push_back(e);
+      // Direction i pulls from the upstream site x - c_i, which is the
+      // downstream site along opp(i).
+      for (int i = 1; i < kQ; ++i) {
+        const int in = set.opposite[static_cast<std::size_t>(i)];
+        const auto upstream = downId[static_cast<std::size_t>(in)];
         PullSrc src;
-        if (upstream >= 0) {
+        if (downLocal[static_cast<std::size_t>(in)] != kNone) {
+          src.kind = PullKind::kLocal;
+          src.index = downLocal[static_cast<std::size_t>(in)];
+        } else if (upstream >= 0) {
+          src.kind = PullKind::kRecv;
           const int owner =
               domain_->ownerOf(static_cast<std::uint64_t>(upstream));
-          if (owner == domain_->rank()) {
-            src.kind = PullKind::kLocal;
-            if (reference) {
-              src.index = reorder_.internalOf[static_cast<std::size_t>(
-                  domain_->localOf(static_cast<std::uint64_t>(upstream)))];
-            }
-          } else {
-            src.kind = PullKind::kRecv;
-            auto& need = needs[static_cast<std::size_t>(owner)];
-            recvRefs.push_back({static_cast<std::uint32_t>(l),
-                                static_cast<std::uint16_t>(i),
-                                static_cast<std::uint16_t>(owner),
-                                static_cast<std::uint32_t>(need.size())});
-            need.push_back(static_cast<std::uint64_t>(upstream) * 32 +
-                           static_cast<std::uint64_t>(i));
-          }
+          auto& need = needs[static_cast<std::size_t>(owner)];
+          recvRefs.push_back({l, static_cast<std::uint16_t>(i),
+                              static_cast<std::uint16_t>(owner),
+                              static_cast<std::uint32_t>(need.size())});
+          need.push_back(static_cast<std::uint64_t>(upstream) * 32 +
+                         static_cast<std::uint64_t>(i));
         } else {
-          const auto link = lat.link(g, upDir);
+          auto& link = missing[static_cast<std::size_t>(in)];
+          link = lat.link(g, set.geoDir[static_cast<std::size_t>(in)]);
           HEMO_CHECK_MSG(link.kind != geometry::LinkKind::kBulk,
                          "voxelizer/link inconsistency at site " << g);
           if (link.kind == geometry::LinkKind::kWall) {
@@ -535,6 +521,77 @@ class Solver {
           }
         }
         if (reference) pull_[static_cast<std::size_t>(i)][l] = src;
+      }
+      if (reference) continue;
+      // An iolet link along i: the own slot of plane opp(i) holds the f*_i
+      // that left through it.
+      for (int i = 1; i < kQ; ++i) {
+        down[static_cast<std::size_t>(i)][n - 1 - l] =
+            downLocal[static_cast<std::size_t>(i)];
+        if (downId[static_cast<std::size_t>(i)] >= 0) continue;
+        const auto& link = missing[static_cast<std::size_t>(i)];
+        if (link.kind != geometry::LinkKind::kWall) {
+          ioletOps_.push_back(
+              {l, link.ioletId,
+               static_cast<std::uint8_t>(
+                   set.opposite[static_cast<std::size_t>(i)])});
+        }
+      }
+    }
+
+    // --- internal ordering: frontier first (stable), bulk row-major -----
+    // Row-major (x fastest): consecutive internal indices are x-consecutive
+    // sites, so the per-direction neighbour slots decompose into long
+    // unit-stride runs (the propagation-optimised layout).
+    const auto nf = static_cast<std::uint32_t>(reorder_.externalOf.size());
+    reorder_.numFrontier = nf;
+    const auto rowMajorKey = [](const Vec3i& p) -> std::uint64_t {
+      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.z))
+              << 42) |
+             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.y))
+              << 21) |
+             static_cast<std::uint64_t>(static_cast<std::uint32_t>(p.x));
+    };
+    // (row-major key, position among bulk sites in external order)
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> bulkOrder;
+    bulkOrder.reserve(bulkExternal.size());
+    for (std::uint32_t b = 0; b < bulkExternal.size(); ++b) {
+      bulkOrder.emplace_back(
+          rowMajorKey(lat.sitePosition(domain_->globalOf(bulkExternal[b]))),
+          b);
+    }
+    std::sort(bulkOrder.begin(), bulkOrder.end());
+    for (const auto& [key, b] : bulkOrder) {
+      reorder_.externalOf.push_back(bulkExternal[b]);
+    }
+    reorder_.internalOf.assign(n, 0);
+    for (std::uint32_t l = 0; l < n; ++l) {
+      reorder_.internalOf[reorder_.externalOf[l]] = l;
+    }
+    if (!reference) buildFrontierSlots(down);
+    // Bulk entries into internal order, neighbours into internal indices.
+    std::vector<std::uint32_t> row;
+    for (int i = 1; i < kQ; ++i) {
+      auto& col = down[static_cast<std::size_t>(i)];
+      row.resize(bulkOrder.size());
+      for (std::size_t k = 0; k < bulkOrder.size(); ++k) {
+        row[k] = reorder_.internalOf[col[bulkOrder[k].second]];
+      }
+      col.swap(row);
+    }
+    if (reference) {
+      for (int i = 1; i < kQ; ++i) {
+        auto& pull = pull_[static_cast<std::size_t>(i)];
+        for (std::uint32_t l = 0; l < nf; ++l) {
+          if (pull[l].kind == PullKind::kLocal) {
+            pull[l].index = reorder_.internalOf[pull[l].index];
+          }
+        }
+        const auto& col = down[static_cast<std::size_t>(
+            set.opposite[static_cast<std::size_t>(i)])];
+        for (std::uint32_t k = 0; k < col.size(); ++k) {
+          pull[nf + k] = {PullKind::kLocal, col[k]};
+        }
       }
     }
 
@@ -593,10 +650,17 @@ class Solver {
     }
     sendFlat_.assign(sendTotal, 0.0);
 
-    if (!reference) buildRunTables();
+    if (!reference) {
+      for (int i = 1; i < kQ; ++i) {
+        bulkRuns_[static_cast<std::size_t>(i)] =
+            buildRuns(down[static_cast<std::size_t>(i)].data(), n - nf);
+      }
+    }
   }
 
-  /// Streaming tables of the production kernel, derived from the same
+  /// Frontier slot table of the production kernel, from the frontier
+  /// entries at the back of buildTables' downstream columns (which go on to
+  /// give the bulk runs). Both streaming tables derive from the same
   /// geometry/ownership facts as the halo plans. At an odd step site x
   /// reads f_j from one slab slot and writes f*_opp(j) back to that same
   /// slot: plane opp(j) at the upstream site x - c_j when that is a local
@@ -608,11 +672,12 @@ class Solver {
   /// long unit-stride runs (bulkRuns_); frontier sites keep one flat slot
   /// index per direction (frontierSlots_), since their neighbours are
   /// scattered and runs would be a handful of sites long.
-  void buildRunTables() {
-    const auto& lat = domain_->lattice();
+  void buildFrontierSlots(
+      const std::array<std::vector<std::uint32_t>, kQ>& down) {
     const auto& set = Lattice::kSet;
     const auto n = static_cast<std::uint32_t>(domain_->numOwned());
     const std::uint32_t nf = reorder_.numFrontier;
+    constexpr std::uint32_t kNone = 0xFFFFFFFFu;
     const auto slotOf = [&](int plane, std::uint32_t site) {
       return static_cast<std::uint32_t>(
           static_cast<std::size_t>(f_.dirBase(plane) - f_.dirBase(0)) + site);
@@ -622,48 +687,16 @@ class Solver {
     HEMO_CHECK_MSG(slabSlots <= 0xFFFFFFFFu,
                    "distribution slab too large for 32-bit slot indices");
 
-    // Per outgoing direction i, the local downstream slot of each bulk
-    // site (the slot direction i streams into, plane i).
-    std::array<std::vector<std::uint32_t>, kQ> dst;
-    for (int i = 1; i < kQ; ++i) {
-      dst[static_cast<std::size_t>(i)].resize(n - nf);
-    }
     frontierSlots_.assign(static_cast<std::size_t>(kQ) * nf, 0);
-    for (std::uint32_t l = 0; l < nf; ++l) frontierSlots_[l] = slotOf(0, l);
-    ioletOps_.clear();
-    for (std::uint32_t l = 0; l < n; ++l) {
-      const std::uint64_t g = domain_->globalOf(reorder_.externalOf[l]);
+    for (std::uint32_t l = 0; l < nf; ++l) {
+      frontierSlots_[l] = slotOf(0, l);
       for (int i = 1; i < kQ; ++i) {
-        const int gd = set.geoDir[static_cast<std::size_t>(i)];
         const int in = set.opposite[static_cast<std::size_t>(i)];
-        const auto down = lat.neighborId(g, gd);
-        const bool local =
-            down >= 0 && domain_->ownerOf(static_cast<std::uint64_t>(down)) ==
-                             domain_->rank();
-        const std::uint32_t to =
-            local ? reorder_.internalOf[static_cast<std::size_t>(
-                        domain_->localOf(static_cast<std::uint64_t>(down)))]
-                  : 0;
-        if (l >= nf) {
-          HEMO_CHECK_MSG(local, "bulk site with non-local downstream " << g);
-          dst[static_cast<std::size_t>(i)][l - nf] = to;
-          continue;
-        }
         // The slot site l reads f_in from (and writes f*_i to).
+        const std::uint32_t to = down[static_cast<std::size_t>(i)][n - 1 - l];
         frontierSlots_[static_cast<std::size_t>(in) * nf + l] =
-            local ? slotOf(i, to) : slotOf(in, l);
-        if (down < 0) {
-          const auto link = lat.link(g, gd);
-          if (link.kind != geometry::LinkKind::kWall) {
-            ioletOps_.push_back(
-                {l, link.ioletId, static_cast<std::uint8_t>(in)});
-          }
-        }
+            to != kNone ? slotOf(i, reorder_.internalOf[to]) : slotOf(in, l);
       }
-    }
-    for (int i = 1; i < kQ; ++i) {
-      bulkRuns_[static_cast<std::size_t>(i)] =
-          buildRuns(dst[static_cast<std::size_t>(i)].data(), n - nf);
     }
   }
 

@@ -8,6 +8,18 @@
 
 namespace hemo::multires {
 
+namespace {
+/// Number of distinct values of keyAt(0 .. count-1), a sorted sequence.
+template <typename KeyAt>
+std::size_t countDistinct(std::size_t count, KeyAt keyAt) {
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i == 0 || keyAt(i) != keyAt(i - 1)) ++distinct;
+  }
+  return distinct;
+}
+}  // namespace
+
 FieldOctree::FieldOctree(const lb::DomainMap& domain, int leafCellLog2)
     : domain_(&domain), leafCellLog2_(leafCellLog2) {
   HEMO_CHECK(leafCellLog2 >= 0);
@@ -20,47 +32,49 @@ FieldOctree::FieldOctree(const lb::DomainMap& domain, int leafCellLog2)
   HEMO_CHECK_MSG(numLevels >= 1, "leaf cells coarser than the domain");
   levels_.resize(static_cast<std::size_t>(numLevels));
 
-  // Enumerate the distinct cell keys per level from the owned sites.
+  // Sort the owned sites' leaf keys once; the distinct keys are the leaf
+  // level, in key order.
   const auto n = domain.numOwned();
-  std::vector<std::uint64_t> keys(static_cast<std::size_t>(n));
-  for (int l = numLevels - 1; l >= 0; --l) {
-    const int shift = shiftForLevel(l);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      const Vec3i p = lat.sitePosition(domain.globalOf(s));
-      keys[s] = morton3(Vec3i{p.x >> shift, p.y >> shift, p.z >> shift});
+  const int leafShift = shiftForLevel(numLevels - 1);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> leafKeys(
+      static_cast<std::size_t>(n));
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const Vec3i p = lat.sitePosition(domain.globalOf(s));
+    leafKeys[s] = {
+        morton3(Vec3i{p.x >> leafShift, p.y >> leafShift, p.z >> leafShift}),
+        s};
+  }
+  std::sort(leafKeys.begin(), leafKeys.end());
+  auto& leaves = levels_.back();
+  leaves.reserve(countDistinct(leafKeys.size(), [&](std::size_t i) {
+    return leafKeys[i].first;
+  }));
+  leafOfSite_.resize(static_cast<std::size_t>(n));
+  for (const auto& [key, s] : leafKeys) {
+    if (leaves.empty() || leaves.back().key != key) {
+      leaves.emplace_back().key = key;
     }
-    auto sorted = keys;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    auto& nodes = levels_[static_cast<std::size_t>(l)];
-    nodes.resize(sorted.size());
-    for (std::size_t i = 0; i < sorted.size(); ++i) nodes[i].key = sorted[i];
-    if (l == numLevels - 1) {
-      leafOfSite_.resize(static_cast<std::size_t>(n));
-      for (std::uint32_t s = 0; s < n; ++s) {
-        const auto it =
-            std::lower_bound(sorted.begin(), sorted.end(), keys[s]);
-        leafOfSite_[s] =
-            static_cast<std::uint32_t>(std::distance(sorted.begin(), it));
-      }
-    }
+    leafOfSite_[s] = static_cast<std::uint32_t>(leaves.size() - 1);
   }
 
-  // Parent links: node at level l -> index in level l-1.
+  // Each coarser level is the distinct Morton parents of the level below.
+  // A parent key is a shift of the child key, so parents of a sorted level
+  // come out sorted, and one pass yields the nodes and the parent links.
   parentOf_.resize(levels_.size());
-  for (int l = 1; l < numLevels; ++l) {
+  for (int l = numLevels - 1; l >= 1; --l) {
     const auto& nodes = levels_[static_cast<std::size_t>(l)];
-    const auto& parents = levels_[static_cast<std::size_t>(l - 1)];
+    auto& parents = levels_[static_cast<std::size_t>(l - 1)];
     auto& links = parentOf_[static_cast<std::size_t>(l)];
     links.resize(nodes.size());
+    parents.reserve(countDistinct(nodes.size(), [&](std::size_t i) {
+      return mortonParent(nodes[i].key);
+    }));
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const auto pkey = mortonParent(nodes[i].key);
-      const auto it = std::lower_bound(
-          parents.begin(), parents.end(), pkey,
-          [](const OctreeNode& a, std::uint64_t k) { return a.key < k; });
-      HEMO_CHECK(it != parents.end() && it->key == pkey);
-      links[i] =
-          static_cast<std::uint32_t>(std::distance(parents.begin(), it));
+      if (parents.empty() || parents.back().key != pkey) {
+        parents.emplace_back().key = pkey;
+      }
+      links[i] = static_cast<std::uint32_t>(parents.size() - 1);
     }
   }
 }

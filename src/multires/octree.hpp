@@ -56,6 +56,14 @@ class FieldOctree {
     return levels_[static_cast<std::size_t>(l)];
   }
 
+  /// Per owned site: index of its leaf node in the leaf level.
+  const std::vector<std::uint32_t>& leafOfSite() const { return leafOfSite_; }
+
+  /// For a level l > 0: index in level l-1 of each node's parent.
+  const std::vector<std::uint32_t>& parentLinks(int l) const {
+    return parentOf_[static_cast<std::size_t>(l)];
+  }
+
   /// Refresh all aggregates from per-owned-site scalar + velocity fields.
   void update(const std::vector<double>& scalar,
               const std::vector<Vec3d>& velocity);

@@ -17,72 +17,49 @@ GhostedField::GhostedField(const lb::DomainMap& domain,
   HEMO_CHECK(rings >= 1);
   const auto& lat = domain.lattice();
   // Ghosts: foreign fluid sites within `rings` 26-neighbourhood steps of an
-  // owned site (BFS frontier expansion).
+  // owned site (BFS frontier expansion; one visited byte per global site),
+  // grouped by owner. Sorted, a group is the order the owner echoes back
+  // and the order ghostSlot binary-searches.
   std::vector<std::vector<std::uint64_t>> wanted(
       static_cast<std::size_t>(comm.size()));
   {
-    std::unordered_map<std::uint64_t, bool> known;  // true = ghost
-    std::vector<std::uint64_t> frontier;
-    for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
-      known.emplace(domain.globalOf(l), false);
-      frontier.push_back(domain.globalOf(l));
-    }
-    std::vector<std::uint64_t> all;
+    std::vector<std::uint8_t> seen(
+        static_cast<std::size_t>(lat.numFluidSites()), 0);
+    std::vector<std::uint64_t> frontier = domain.ownedIds();
+    for (const auto g : frontier) seen[static_cast<std::size_t>(g)] = 1;
     for (int ring = 0; ring < rings; ++ring) {
       std::vector<std::uint64_t> next;
       for (const auto g : frontier) {
         for (int d = 0; d < geometry::kNumDirections; ++d) {
           const auto n = lat.neighborId(g, d);
-          if (n < 0) continue;
+          if (n < 0 || seen[static_cast<std::size_t>(n)]) continue;
           const auto ng = static_cast<std::uint64_t>(n);
-          if (known.emplace(ng, true).second) {
-            all.push_back(ng);
-            next.push_back(ng);
-          }
+          seen[static_cast<std::size_t>(n)] = 1;
+          next.push_back(ng);
+          wanted[static_cast<std::size_t>(domain.ownerOf(ng))].push_back(ng);
         }
       }
       frontier = std::move(next);
     }
-    std::sort(all.begin(), all.end());
-    ghostIds_ = std::move(all);
   }
-  for (std::size_t i = 0; i < ghostIds_.size(); ++i) {
-    ghostIndex_.emplace(ghostIds_[i], static_cast<std::uint32_t>(i));
-    wanted[static_cast<std::size_t>(domain.ownerOf(ghostIds_[i]))].push_back(
-        ghostIds_[i]);
+  for (auto& group : wanted) std::sort(group.begin(), group.end());
+
+  // Receive ranges: ghostIds_ is the groups back to back.
+  std::size_t numGhosts = 0;
+  for (const auto& group : wanted) numGhosts += group.size();
+  ghostIds_.reserve(numGhosts);
+  recvOffset_.assign(static_cast<std::size_t>(comm.size()) + 1, 0);
+  for (int r = 0; r < comm.size(); ++r) {
+    const auto& group = wanted[static_cast<std::size_t>(r)];
+    ghostIds_.insert(ghostIds_.end(), group.begin(), group.end());
+    recvOffset_[static_cast<std::size_t>(r) + 1] =
+        static_cast<std::uint32_t>(ghostIds_.size());
+    if (!group.empty()) {
+      recvRanges_.push_back({r, static_cast<std::uint32_t>(group.size())});
+    }
   }
   ghostU_.assign(ghostIds_.size(), Vec3d{});
   ghostRho_.assign(ghostIds_.size(), 1.0);
-
-  // Receive ranges: ghosts grouped by owner; within a group the order is
-  // ascending global id — matching `wanted`, which the owner echoes back.
-  recvOffset_.assign(static_cast<std::size_t>(comm.size()) + 1, 0);
-  for (int r = 0; r < comm.size(); ++r) {
-    recvOffset_[static_cast<std::size_t>(r) + 1] =
-        recvOffset_[static_cast<std::size_t>(r)] +
-        static_cast<std::uint32_t>(wanted[static_cast<std::size_t>(r)].size());
-    if (!wanted[static_cast<std::size_t>(r)].empty()) {
-      recvRanges_.push_back(
-          {r, static_cast<std::uint32_t>(
-                  wanted[static_cast<std::size_t>(r)].size())});
-    }
-  }
-  // ghostIds_ is globally sorted; regroup it so lookups match the grouped
-  // receive layout: index ghosts by (owner, id) order.
-  {
-    std::vector<std::uint64_t> grouped;
-    grouped.reserve(ghostIds_.size());
-    for (int r = 0; r < comm.size(); ++r) {
-      for (const auto g : wanted[static_cast<std::size_t>(r)]) {
-        grouped.push_back(g);
-      }
-    }
-    ghostIds_ = std::move(grouped);
-    ghostIndex_.clear();
-    for (std::size_t i = 0; i < ghostIds_.size(); ++i) {
-      ghostIndex_.emplace(ghostIds_[i], static_cast<std::uint32_t>(i));
-    }
-  }
 
   comm::Communicator::TrafficScope scope(comm, comm::Traffic::kVis);
   const auto requests = comm.alltoallVec(wanted);
@@ -134,18 +111,28 @@ std::optional<Vec3d> GhostedField::velocityAt(std::uint64_t global) const {
   HEMO_CHECK_MSG(macro_ != nullptr, "GhostedField::refresh not called");
   const auto local = domain_->localOf(global);
   if (local >= 0) return macro_->u[static_cast<std::size_t>(local)];
-  const auto it = ghostIndex_.find(global);
-  if (it == ghostIndex_.end()) return std::nullopt;
-  return ghostU_[static_cast<std::size_t>(it->second)];
+  const auto slot = ghostSlot(global);
+  if (slot < 0) return std::nullopt;
+  return ghostU_[static_cast<std::size_t>(slot)];
 }
 
 std::optional<double> GhostedField::densityAt(std::uint64_t global) const {
   HEMO_CHECK_MSG(macro_ != nullptr, "GhostedField::refresh not called");
   const auto local = domain_->localOf(global);
   if (local >= 0) return macro_->rho[static_cast<std::size_t>(local)];
-  const auto it = ghostIndex_.find(global);
-  if (it == ghostIndex_.end()) return std::nullopt;
-  return ghostRho_[static_cast<std::size_t>(it->second)];
+  const auto slot = ghostSlot(global);
+  if (slot < 0) return std::nullopt;
+  return ghostRho_[static_cast<std::size_t>(slot)];
+}
+
+std::int64_t GhostedField::ghostSlot(std::uint64_t global) const {
+  if (global >= domain_->lattice().numFluidSites()) return -1;
+  const auto owner = static_cast<std::size_t>(domain_->ownerOf(global));
+  const auto first = ghostIds_.begin() + recvOffset_[owner];
+  const auto last = ghostIds_.begin() + recvOffset_[owner + 1];
+  const auto it = std::lower_bound(first, last, global);
+  if (it == last || *it != global) return -1;
+  return it - ghostIds_.begin();
 }
 
 std::int64_t VelocitySampler::containingSite(const Vec3d& world) const {

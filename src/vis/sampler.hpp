@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -48,10 +47,14 @@ class GhostedField {
   std::uint64_t ghostCount() const { return ghostIds_.size(); }
 
  private:
+  /// Index of a ghost in ghostIds_, or -1: its owner's receive group, then
+  /// a binary search in it.
+  std::int64_t ghostSlot(std::uint64_t global) const;
+
   const lb::DomainMap* domain_;
   const lb::MacroFields* macro_ = nullptr;
-  std::vector<std::uint64_t> ghostIds_;               ///< sorted
-  std::unordered_map<std::uint64_t, std::uint32_t> ghostIndex_;
+  /// Grouped by owner rank (recvOffset_), ascending within a group.
+  std::vector<std::uint64_t> ghostIds_;
   std::vector<Vec3d> ghostU_;
   std::vector<double> ghostRho_;
   /// Exchange plan: for each peer rank, the owned locals it wants.

@@ -10,7 +10,9 @@
 # partitioner and site-graph tests join because their CSR builds run on
 # parallelFor worker threads (util/parallel.hpp). The core and steer tests
 # join because their closed-loop tests run a steering client thread against
-# the rank-0 broker session.
+# the rank-0 broker session. The vis and multires tests join because
+# GhostedField construction and refresh, and the octree/ROI gathers, are
+# collectives across the rank threads.
 # Usage: tests/run_tsan.sh [build-dir]
 # Also registered under `ctest -L sanitize` when -DHEMO_SANITIZE_TESTS=ON.
 set -euo pipefail
@@ -23,7 +25,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DHEMO_SANITIZE=thread
 cmake --build "$build_dir" -j --target test_lb test_lb_fused test_telemetry \
   test_serve test_relay test_resilience test_recovery test_migration \
-  test_partition test_geometry test_core test_steer
+  test_partition test_geometry test_core test_steer test_vis test_multires
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_lb"
@@ -38,4 +40,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 "$build_dir/tests/test_geometry"
 "$build_dir/tests/test_core"
 "$build_dir/tests/test_steer"
+"$build_dir/tests/test_vis"
+"$build_dir/tests/test_multires"
 echo "TSan run clean."

@@ -65,6 +65,43 @@ TEST(VelocitySets, D3Q19Algebra) { checkVelocitySetAlgebra<D3Q19>(); }
 TEST(VelocitySets, D3Q15Algebra) { checkVelocitySetAlgebra<D3Q15>(); }
 TEST(VelocitySets, D3Q27Algebra) { checkVelocitySetAlgebra<D3Q27>(); }
 
+// The ownership index: localOf inverts globalOf on every owned id, and
+// answers -1 for a foreign id and for an id past the end of the lattice.
+TEST(DomainMap, LocalOfMatchesOwnedIds) {
+  geometry::VoxelizeOptions opt;
+  opt.voxelSize = 0.25;
+  const auto lat =
+      geometry::voxelize(geometry::makeAneurysmVessel(5.0, 1.0, 1.0), opt);
+  const auto graph = partition::buildSiteGraph(lat);
+  const std::uint64_t n = lat.numFluidSites();
+  for (int ranks = 1; ranks <= 4; ++ranks) {
+    partition::MultilevelKWayPartitioner kway;
+    const auto part = kway.partition(graph, ranks);
+    std::uint64_t owned = 0;
+    for (int r = 0; r < ranks; ++r) {
+      const DomainMap domain(lat, part, r);
+      owned += domain.numOwned();
+      for (std::uint32_t l = 0; l < domain.numOwned(); ++l) {
+        ASSERT_EQ(domain.localOf(domain.globalOf(l)), l);
+        if (l > 0) {
+          ASSERT_LT(domain.globalOf(l - 1), domain.globalOf(l));
+        }
+      }
+      for (std::uint64_t g = 0; g < n; ++g) {
+        const bool mine = part.partOfSite[static_cast<std::size_t>(g)] == r;
+        ASSERT_EQ(domain.localOf(g) >= 0, mine) << "rank " << r << " " << g;
+        ASSERT_EQ(domain.ownerOf(g),
+                  part.partOfSite[static_cast<std::size_t>(g)]);
+      }
+      EXPECT_EQ(domain.localOf(n), -1);
+      EXPECT_EQ(domain.localOf(n + 1), -1);
+      EXPECT_EQ(domain.localOf(0xFFFFFFFFull), -1);
+      EXPECT_EQ(domain.localOf(~std::uint64_t{0}), -1);
+    }
+    EXPECT_EQ(owned, n) << ranks << " ranks";
+  }
+}
+
 TEST(Equilibrium, MomentsMatchInputs) {
   const double rho = 1.05;
   const Vec3d u{0.02, -0.01, 0.005};

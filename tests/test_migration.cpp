@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -23,6 +26,7 @@
 #include "lb/checkpoint.hpp"
 #include "lb/migration.hpp"
 #include "lb/solver.hpp"
+#include "multires/octree.hpp"
 #include "partition/partitioners.hpp"
 #include "serve/broker.hpp"
 #include "serve/client.hpp"
@@ -134,6 +138,146 @@ TEST(Migration, RepacksDistributionsOntoNewOwnership) {
                   oldAll[static_cast<std::size_t>(oldOwner)]
                         [static_cast<std::size_t>(ol)]);
       }
+    }
+  });
+}
+
+// --- octree rebuild ---------------------------------------------------------
+
+/// The octree structure built level by level: each level's cell keys sorted
+/// and deduplicated on their own, each site's leaf and each node's parent
+/// found by binary search.
+struct ReferenceOctree {
+  std::vector<std::vector<std::uint64_t>> keys;  ///< [level] sorted
+  std::vector<std::uint32_t> leafOfSite;
+  std::vector<std::vector<std::uint32_t>> parentOf;  ///< [level > 0]
+};
+
+std::uint32_t indexOfKey(const std::vector<std::uint64_t>& keys,
+                         std::uint64_t key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  EXPECT_TRUE(it != keys.end() && *it == key);
+  return static_cast<std::uint32_t>(it - keys.begin());
+}
+
+ReferenceOctree referenceOctree(const lb::DomainMap& domain, int leafLog2) {
+  const auto& lat = domain.lattice();
+  const Vec3i dims = lat.dims();
+  int rootLog2 = 0;
+  while ((1 << rootLog2) < std::max({dims.x, dims.y, dims.z})) ++rootLog2;
+  const int numLevels = rootLog2 - leafLog2 + 1;
+  const auto keyOf = [&](std::uint32_t s, int level) {
+    const int shift = rootLog2 - level;
+    const Vec3i p = lat.sitePosition(domain.globalOf(s));
+    return morton3(Vec3i{p.x >> shift, p.y >> shift, p.z >> shift});
+  };
+  ReferenceOctree ref;
+  ref.keys.resize(static_cast<std::size_t>(numLevels));
+  ref.parentOf.resize(static_cast<std::size_t>(numLevels));
+  for (int l = 0; l < numLevels; ++l) {
+    auto& keys = ref.keys[static_cast<std::size_t>(l)];
+    for (std::uint32_t s = 0; s < domain.numOwned(); ++s) {
+      keys.push_back(keyOf(s, l));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  }
+  for (std::uint32_t s = 0; s < domain.numOwned(); ++s) {
+    ref.leafOfSite.push_back(
+        indexOfKey(ref.keys.back(), keyOf(s, numLevels - 1)));
+  }
+  for (int l = 1; l < numLevels; ++l) {
+    for (const auto key : ref.keys[static_cast<std::size_t>(l)]) {
+      ref.parentOf[static_cast<std::size_t>(l)].push_back(indexOfKey(
+          ref.keys[static_cast<std::size_t>(l - 1)], mortonParent(key)));
+    }
+  }
+  return ref;
+}
+
+/// Structure and post-update aggregates of `tree` against the reference:
+/// every node's count, min and max exactly, its means to float rounding.
+void expectMatchesReference(const lb::DomainMap& domain, int leafLog2) {
+  multires::FieldOctree tree(domain, leafLog2);
+  const auto ref = referenceOctree(domain, leafLog2);
+  ASSERT_EQ(tree.numLevels(), static_cast<int>(ref.keys.size()));
+  for (int l = 0; l < tree.numLevels(); ++l) {
+    const auto& nodes = tree.level(l);
+    const auto& keys = ref.keys[static_cast<std::size_t>(l)];
+    ASSERT_EQ(nodes.size(), keys.size()) << "level " << l;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(nodes[i].key, keys[i]) << "level " << l << " node " << i;
+    }
+    if (l > 0) {
+      EXPECT_EQ(tree.parentLinks(l), ref.parentOf[static_cast<std::size_t>(l)])
+          << "level " << l;
+    }
+  }
+  EXPECT_EQ(tree.leafOfSite(), ref.leafOfSite);
+
+  const auto n = domain.numOwned();
+  std::vector<double> scalar(n);
+  std::vector<Vec3d> velocity(n);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const double g = static_cast<double>(domain.globalOf(s));
+    scalar[s] = std::sin(0.01 * g) + 1e-3 * g;
+    velocity[s] = {0.5 * g, -g, 1.0};
+  }
+  tree.update(scalar, velocity);
+  // Each site reaches its level-l node through l parent hops of the
+  // reference links; aggregate in doubles per node.
+  for (int l = tree.leafLevel(); l >= 0; --l) {
+    const auto& nodes = tree.level(l);
+    std::vector<std::uint32_t> count(nodes.size(), 0);
+    std::vector<double> sum(nodes.size(), 0.0);
+    std::vector<Vec3d> usum(nodes.size(), Vec3d{0, 0, 0});
+    std::vector<float> lo(nodes.size(), std::numeric_limits<float>::max());
+    std::vector<float> hi(nodes.size(), std::numeric_limits<float>::lowest());
+    for (std::uint32_t s = 0; s < n; ++s) {
+      std::uint32_t node = ref.leafOfSite[s];
+      for (int up = tree.leafLevel(); up > l; --up) {
+        node = ref.parentOf[static_cast<std::size_t>(up)][node];
+      }
+      const auto v = static_cast<float>(scalar[s]);
+      ++count[node];
+      sum[node] += v;
+      usum[node] += velocity[s].cast<float>().cast<double>();
+      lo[node] = std::min(lo[node], v);
+      hi[node] = std::max(hi[node], v);
+    }
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      ASSERT_EQ(nodes[i].count, count[i]) << "level " << l << " node " << i;
+      EXPECT_EQ(nodes[i].minScalar, lo[i]);
+      EXPECT_EQ(nodes[i].maxScalar, hi[i]);
+      const double mean = sum[i] / count[i];
+      EXPECT_NEAR(nodes[i].meanScalar, mean, 1e-4 * (1.0 + std::abs(mean)));
+      const Vec3d u = usum[i] / static_cast<double>(count[i]);
+      EXPECT_NEAR(nodes[i].meanVelocity.x, u.x, 1e-4 * (1.0 + std::abs(u.x)));
+      EXPECT_NEAR(nodes[i].meanVelocity.y, u.y, 1e-4 * (1.0 + std::abs(u.y)));
+      EXPECT_NEAR(nodes[i].meanVelocity.z, u.z, 1e-4 * (1.0 + std::abs(u.z)));
+    }
+  }
+}
+
+TEST(FieldOctree, SingleSortMatchesPerLevelBuild) {
+  const auto lat = tubeLattice();
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(partition::buildSiteGraph(lat), 4);
+  comm::Runtime rt(4);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    core::SimulationDriver driver(domain, comm, plainDriverConfig());
+    driver.run(2);
+    for (const int leafLog2 : {0, 1, 2}) {
+      SCOPED_TRACE(leafLog2);
+      expectMatchesReference(driver.domain(), leafLog2);
+    }
+    const auto outcome = driver.migrateNow(skewedCosts(part));
+    ASSERT_TRUE(outcome.migrated);
+    ASSERT_NE(&driver.domain(), &domain);
+    for (const int leafLog2 : {0, 1, 2}) {
+      SCOPED_TRACE(leafLog2);
+      expectMatchesReference(driver.domain(), leafLog2);
     }
   });
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "comm/runtime.hpp"
@@ -467,6 +468,7 @@ TEST(Relay, TwoLevelChainThreadedAgainstLiveSolver) {
     tier2.shutdown();
   });
   std::vector<std::uint64_t> usable(kViewers, 0);
+  std::atomic<int> viewersServed{0};  // viewers with a usable frame
   std::vector<std::thread> viewerThreads;
   for (int i = 0; i < kViewers; ++i) {
     viewerThreads.emplace_back([&, i] {
@@ -474,7 +476,10 @@ TEST(Relay, TwoLevelChainThreadedAgainstLiveSolver) {
         bool idle = true;
         while (auto event = viewers[static_cast<std::size_t>(i)].pollEvent()) {
           idle = false;
-          if (event->progressiveReady) ++usable[static_cast<std::size_t>(i)];
+          if (event->progressiveReady &&
+              usable[static_cast<std::size_t>(i)]++ == 0) {
+            viewersServed.fetch_add(1);
+          }
         }
         if (idle) std::this_thread::yield();
       }
@@ -500,8 +505,15 @@ TEST(Relay, TwoLevelChainThreadedAgainstLiveSolver) {
     const int done = driver.run(20);
     if (comm.rank() == 0) executed = done;
   });
-  // Let the tier flush, then stop (relay shutdown drains the tail first).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Let the tiers flush until every viewer holds a usable frame (bounded,
+  // so a lost frame fails the assertions below instead of hanging), then
+  // stop (relay shutdown drains the tail first).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (viewersServed.load() < kViewers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true);
   relayThread1.join();
   relayThread2.join();

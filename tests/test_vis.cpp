@@ -159,6 +159,74 @@ TEST(GhostedField, TwoRingsCoverMoreThanOne) {
   });
 }
 
+// The ghost plan against a brute-force 2-ring search: ring k is every
+// foreign site one 26-neighbour step from ring k-1 (ring 0 = owned) and in
+// no earlier ring. After a refresh every ghost reads its owner's value and
+// every other foreign site (and any id past the end) reads nullopt.
+TEST(GhostedField, GhostSetMatchesBruteForceRings) {
+  geometry::VoxelizeOptions vopt;
+  vopt.voxelSize = 0.25;
+  const auto lat =
+      geometry::voxelize(geometry::makeAneurysmVessel(5.0, 1.0, 1.0), vopt);
+  partition::MultilevelKWayPartitioner::Options kopt;
+  kopt.seed = 20240917;
+  const auto part = partition::MultilevelKWayPartitioner(kopt).partition(
+      partition::buildSiteGraph(lat), 4);
+  const std::uint64_t n = lat.numFluidSites();
+  // The value every rank's fields hold for global site g.
+  const auto uOf = [](std::uint64_t g) {
+    const double x = static_cast<double>(g);
+    return Vec3d{x, -2.0 * x, 0.5 + x};
+  };
+  const auto rhoOf = [](std::uint64_t g) {
+    return 1.0 + 1e-6 * static_cast<double>(g);
+  };
+  comm::Runtime rt(4);
+  rt.run([&](comm::Communicator& comm) {
+    lb::DomainMap domain(lat, part, comm.rank());
+    std::vector<int> ring(static_cast<std::size_t>(n), -1);
+    for (const auto g : domain.ownedIds()) ring[g] = 0;
+    for (int k = 1; k <= 2; ++k) {
+      for (std::uint64_t g = 0; g < n; ++g) {
+        if (ring[g] != -1) continue;
+        for (int d = 0; d < geometry::kNumDirections; ++d) {
+          const auto nb = lat.neighborId(g, d);
+          if (nb >= 0 && ring[static_cast<std::size_t>(nb)] == k - 1) {
+            ring[g] = k;
+            break;
+          }
+        }
+      }
+    }
+    std::uint64_t expected = 0;
+    for (std::uint64_t g = 0; g < n; ++g) expected += ring[g] > 0 ? 1 : 0;
+
+    lb::MacroFields macro;
+    for (const auto g : domain.ownedIds()) {
+      macro.u.push_back(uOf(g));
+      macro.rho.push_back(rhoOf(g));
+    }
+    GhostedField field(domain, comm, 2);
+    field.refresh(macro, comm);
+    EXPECT_EQ(field.ghostCount(), expected) << "rank " << comm.rank();
+    EXPECT_GT(expected, 0u);
+    for (std::uint64_t g = 0; g < n; ++g) {
+      const auto u = field.velocityAt(g);
+      const auto rho = field.densityAt(g);
+      if (ring[g] >= 0) {
+        ASSERT_TRUE(u && rho) << "rank " << comm.rank() << " site " << g;
+        EXPECT_EQ(*u, uOf(g));
+        EXPECT_EQ(*rho, rhoOf(g));
+      } else {
+        EXPECT_FALSE(u) << "rank " << comm.rank() << " site " << g;
+        EXPECT_FALSE(rho) << "rank " << comm.rank() << " site " << g;
+      }
+    }
+    EXPECT_FALSE(field.velocityAt(n));
+    EXPECT_FALSE(field.densityAt(n + 7));
+  });
+}
+
 TEST(Sampler, ExactAtSiteCentreAndInterpolatedBetween) {
   const auto lat = tubeLattice();
   partition::Partition part;
@@ -237,8 +305,15 @@ std::vector<Polyline> traceOnRanks(const SparseLattice& lat, int ranks,
     field.refresh(macro, comm);
     StreamlineParams params;
     params.maxVertices = 400;
-    auto lines = traceStreamlines(comm, field, seeds, params, stats);
-    if (comm.rank() == 0) result = std::move(lines);
+    // Each rank fills its own stats (the same reduced values); rank 0's
+    // are reported.
+    TraceStats local;
+    auto lines = traceStreamlines(comm, field, seeds, params,
+                                  stats != nullptr ? &local : nullptr);
+    if (comm.rank() == 0) {
+      result = std::move(lines);
+      if (stats != nullptr) *stats = local;
+    }
   });
   return result;
 }
