@@ -11,11 +11,19 @@
 #include "telemetry/flightrec.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
+#include "util/heap.hpp"
 #include "util/log.hpp"
 
 namespace hemo::comm {
 
 namespace {
+
+/// The heap policy has to be in place before any rank thread allocates, so
+/// every program that links the runtime applies it at load time.
+[[maybe_unused]] const bool kHeapPolicyPinned = [] {
+  util::pinHeapPolicy();
+  return true;
+}();
 
 /// Flow-arrow id tying one halo send to its receive: both sides derive it
 /// from (sender world rank, receiver world rank, step epoch). Collisions

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -13,8 +14,33 @@
 #include "comm/channel.hpp"
 #include "comm/runtime.hpp"
 
+#if __has_include(<malloc.h>)
+#include <malloc.h>
+#endif
+
 namespace hemo::comm {
 namespace {
+
+#if defined(__GLIBC__) && defined(M_ARENA_MAX) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+// Linking the runtime pins the heap policy (util/heap.hpp). Under glibc's
+// default the first free of a 20 MiB block raises the mmap threshold past
+// it, and the second such block comes from the heap and stays there.
+TEST(HeapPolicy, LargeBlocksStayMmappedAfterFree) {
+  constexpr std::size_t kBlock = std::size_t{20} << 20;
+  auto* first = static_cast<volatile char*>(std::malloc(kBlock));
+  ASSERT_NE(first, nullptr);
+  first[0] = 1;
+  std::free(const_cast<char*>(first));
+  const auto before = mallinfo2().hblks;
+  auto* second = static_cast<volatile char*>(std::malloc(kBlock));
+  ASSERT_NE(second, nullptr);
+  second[0] = 1;
+  const auto during = mallinfo2().hblks;
+  std::free(const_cast<char*>(second));
+  EXPECT_EQ(during, before + 1);
+}
+#endif
 
 TEST(Runtime, SingleRankRuns) {
   Runtime rt(1);
