@@ -332,7 +332,12 @@ Communicator Communicator::split(int color, int key) {
   // successive splits) get distinct ids.
   const std::uint64_t ctx = detail::mix64(
       detail::mix64(context_, seq), static_cast<std::uint64_t>(color) + 1);
-  return Communicator(rt_, ctx, newRank, std::move(newGroupToWorld));
+  Communicator out(rt_, ctx, newRank, std::move(newGroupToWorld));
+  // A child of a shrunken communicator belongs to the same generation: born
+  // at epoch 0, its first wait longer than a poll slice would read the
+  // recovery that made its parent as a fresh death.
+  out.bornEpoch_ = bornEpoch_;
+  return out;
 }
 
 Communicator Communicator::shrink(const std::vector<int>& deadWorldRanks) const {

@@ -19,13 +19,10 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
     : domain_(&domain),
       comm_(&comm),
       config_(config),
-      solver_(std::make_unique<lb::SolverD3Q19>(domain, comm, config.lb)),
-      ghosts_(std::make_unique<vis::GhostedField>(domain, comm, /*rings=*/2)),
-      octree_(std::make_unique<multires::FieldOctree>(domain,
-                                                      config.octreeLeafLog2)),
       sentinel_(config.sentinel) {
   HEMO_CHECK_MSG(!config.computeWss || config.lb.computeStress,
                  "computeWss requires LbParams::computeStress");
+  standUp(domain, {});
   if (config.adaptiveVisBudget > 0.0) {
     scheduler_ = AdaptiveVisScheduler(config.adaptiveVisBudget);
   }
@@ -76,6 +73,43 @@ SimulationDriver::SimulationDriver(const lb::DomainMap& domain,
     }
   }
 #endif
+}
+
+void SimulationDriver::standUp(
+    const lb::DomainMap& domain,
+    const std::vector<std::vector<double>>& populations) {
+  {
+    HEMO_TSPAN(kPartition, "driver.standup.solver");
+    auto solver = std::make_unique<lb::SolverD3Q19>(
+        domain, *comm_, solver_ ? solver_->params() : config_.lb);
+    if (solver_) {
+      // LbParams already hold steered tau and body force; the iolet
+      // overrides live on the solver itself.
+      for (std::size_t io = 0; io < domain.lattice().iolets().size(); ++io) {
+        solver->setIoletDensity(io, solver_->ioletDensity(io));
+        if (solver_->ioletIsVelocityBc(io)) {
+          solver->setIoletVelocity(io, solver_->ioletVelocity(io));
+        }
+      }
+      solver->setDistributions(populations);
+      solver->setStepsDone(solver_->stepsDone());
+    }
+    solver_ = std::move(solver);
+  }
+  domain_ = &domain;
+  // Vis plumbing follows ownership: halo ghosts and the multires octree
+  // are domain-shaped; pipeline stages and serve subscriptions are
+  // domain-stateless and carry over untouched.
+  {
+    HEMO_TSPAN(kPartition, "driver.standup.ghosts");
+    ghosts_ = std::make_unique<vis::GhostedField>(domain, *comm_,
+                                                  /*rings=*/2);
+  }
+  {
+    HEMO_TSPAN(kPartition, "driver.standup.octree");
+    octree_ = std::make_unique<multires::FieldOctree>(domain,
+                                                      config_.octreeLeafLog2);
+  }
 }
 
 void SimulationDriver::attachBroker(serve::SessionBroker* broker) {
@@ -464,10 +498,26 @@ void SimulationDriver::pollSteering() {
   }
 }
 
-lb::RestoreResult SimulationDriver::restoreLatest() {
-  HEMO_CHECK_MSG(!config_.checkpointDir.empty(),
-                 "restoreLatest needs DriverConfig::checkpointDir");
-  return lb::restoreLatest(config_.checkpointDir, *solver_, *comm_);
+RestoreOutcome SimulationDriver::restoreState(bool allowColdStart) {
+  lb::RestoreResult miss{lb::CkptStatus::kOpenFailed, 0,
+                         "no buddy store attached and no checkpoints written"};
+  if (config_.buddy.store != nullptr) {
+    miss = lb::restoreFromBuddy(*config_.buddy.store, *solver_, *comm_);
+    if (miss.ok()) return {StateSource::kBuddy, miss};
+    noteFlight("restore: buddy snapshot unavailable (" + miss.detail +
+               "); falling back");
+  }
+  if (config_.checkpointEvery > 0 && !config_.checkpointDir.empty()) {
+    miss = lb::restoreLatest(config_.checkpointDir, *solver_, *comm_);
+    if (miss.ok()) return {StateSource::kDisk, miss};
+  }
+  if (!allowColdStart) return {StateSource::kNone, miss};
+  // Cold start: the solver is deterministic, so replaying from step 0
+  // reproduces the fields. Old buddy slots would alias the replayed steps.
+  HEMO_CHECK_MSG(solver_->stepsDone() == 0,
+                 "a cold start needs a driver that has not stepped");
+  if (config_.buddy.store != nullptr) config_.buddy.store->clear();
+  return {StateSource::kCold, {}};
 }
 
 void SimulationDriver::writeDiagnosticDump(const SentinelVerdict& verdict) {
@@ -555,31 +605,32 @@ bool SimulationDriver::sentinelGuard(std::uint64_t step) {
                     << " maxSpeed=" << verdict.maxSpeed;
   }
 
-  const bool canRollback = rollbacksDone_ < config_.sentinel.maxRollbacks &&
-                           config_.checkpointEvery > 0 &&
-                           !config_.checkpointDir.empty();
-  if (canRollback) {
-    const auto restored = restoreLatest();
+  if (rollbacksDone_ < config_.sentinel.maxRollbacks) {
+    const auto restored = restoreState(/*allowColdStart=*/false);
     if (restored.ok()) {
+      const char* from =
+          restored.source == StateSource::kBuddy ? "buddy" : "checkpointed";
       ++rollbacksDone_;
       if (auto* t = telemetry::threadTelemetry()) {
         t->metrics().counter("sentinel.rollbacks").add(1);
       }
       if (comm_->rank() == 0) {
-        HEMO_LOG_WARN() << "sentinel rolled back to checkpointed step "
-                        << restored.step << " (rollback " << rollbacksDone_
-                        << "/" << config_.sentinel.maxRollbacks << ")";
+        HEMO_LOG_WARN() << "sentinel rolled back to " << from << " step "
+                        << restored.result.step << " (rollback "
+                        << rollbacksDone_ << "/"
+                        << config_.sentinel.maxRollbacks << ")";
       }
-      noteFlight("sentinel rollback to checkpointed step " +
-                 std::to_string(restored.step));
-      // Checkpoints hold distributions only — steered parameters survive a
+      noteFlight("sentinel rollback to " + std::string(from) + " step " +
+                 std::to_string(restored.result.step));
+      // Snapshots hold distributions only — steered parameters survive a
       // restore, so the rollback must also revert the most recent change,
       // the prime suspect for the blow-up.
       quarantineLatestChange();
       return false;
     }
     if (comm_->rank() == 0) {
-      HEMO_LOG_WARN() << "sentinel rollback failed: " << restored.detail;
+      HEMO_LOG_WARN() << "sentinel rollback failed: "
+                      << restored.result.detail;
     }
   }
 
@@ -938,8 +989,8 @@ MigrationOutcome SimulationDriver::migrateNow(
   HEMO_CHECK(siteCost.size() == lat.numFluidSites());
   MigrationOutcome out;
 
-  // Sub-spans split the stall by step in a trace: plan, transfer, solver,
-  // ghosts, octree.
+  // Sub-spans split the stall by step in a trace: plan, transfer, then
+  // standUp's solver, ghosts and octree.
   partition::RepartitionResult plan;
   {
     HEMO_TSPAN(kPartition, "driver.migrate.plan");
@@ -976,48 +1027,17 @@ MigrationOutcome SimulationDriver::migrateNow(
   const std::uint64_t stepsDone = solver_->stepsDone();
   auto newPartition =
       std::make_unique<partition::Partition>(std::move(plan.partition));
-  std::unique_ptr<lb::DomainMap> newDomain;
+  auto newDomain =
+      std::make_unique<lb::DomainMap>(lat, *newPartition, comm_->rank());
   std::vector<std::vector<double>> columns;
   lb::MigrationStats stats;
   {
-    // Data plane: repack distributions onto the new ownership (collective,
-    // layout-agnostic, traffic class kRepart).
+    // Data plane: the owner-routed transfer onto the new ownership
+    // (collective, traffic class kRepart).
     HEMO_TSPAN(kPartition, "driver.migrate.transfer");
-    newDomain =
-        std::make_unique<lb::DomainMap>(lat, *newPartition, comm_->rank());
     stats = lb::migrateDistributions(*solver_, *newDomain, *comm_, columns);
   }
-  {
-    // Rebuild the solver over the new domain, carrying every piece of
-    // steerable state: LbParams (tau/body force already reflect steering),
-    // iolet overrides, the step counter, and finally the populations.
-    HEMO_TSPAN(kPartition, "driver.migrate.solver");
-    auto newSolver = std::make_unique<lb::SolverD3Q19>(*newDomain, *comm_,
-                                                       solver_->params());
-    for (std::size_t io = 0; io < lat.iolets().size(); ++io) {
-      newSolver->setIoletDensity(io, solver_->ioletDensity(io));
-      if (solver_->ioletIsVelocityBc(io)) {
-        newSolver->setIoletVelocity(io, solver_->ioletVelocity(io));
-      }
-    }
-    newSolver->setDistributions(columns);
-    newSolver->setStepsDone(stepsDone);
-    solver_ = std::move(newSolver);
-  }
-  domain_ = newDomain.get();
-  // Vis plumbing follows ownership: halo ghosts and the multires octree
-  // are domain-shaped, so rebuild both (collective); pipeline stages and
-  // serve subscriptions are domain-stateless and carry over untouched.
-  {
-    HEMO_TSPAN(kPartition, "driver.migrate.ghosts");
-    ghosts_ = std::make_unique<vis::GhostedField>(*newDomain, *comm_,
-                                                  /*rings=*/2);
-  }
-  {
-    HEMO_TSPAN(kPartition, "driver.migrate.octree");
-    octree_ = std::make_unique<multires::FieldOctree>(*newDomain,
-                                                      config_.octreeLeafLog2);
-  }
+  standUp(*newDomain, columns);
   liveDomain_ = std::move(newDomain);
   livePartition_ = std::move(newPartition);
   ++migrationEpoch_;

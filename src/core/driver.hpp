@@ -64,7 +64,7 @@ struct DriverConfig {
   /// at most this fraction of the runtime (scheduling, §III challenge 4).
   double adaptiveVisBudget = 0.0;
   /// If > 0 (and checkpointDir set): write a striped checkpoint every this
-  /// many completed steps. Restart with restoreLatest().
+  /// many completed steps. Restart with restoreState().
   int checkpointEvery = 0;
   /// Directory receiving ckpt_<step>.hemockpt manifests + stripe files.
   std::string checkpointDir;
@@ -132,6 +132,18 @@ struct DriverConfig {
   BuddyConfig buddy;
 };
 
+/// Which rung of the restore ladder supplied the state.
+enum class StateSource : std::uint8_t { kNone, kBuddy, kDisk, kCold };
+
+/// Outcome of SimulationDriver::restoreState (identical on every rank).
+struct RestoreOutcome {
+  /// kNone when every rung the caller allowed missed.
+  StateSource source = StateSource::kNone;
+  /// Step the state was taken at (0 for a cold start), or the last miss.
+  lb::RestoreResult result;
+  bool ok() const { return source != StateSource::kNone; }
+};
+
 /// Result of one live-migration attempt (identical on every rank).
 struct MigrationOutcome {
   bool migrated = false;
@@ -175,11 +187,16 @@ class SimulationDriver {
   /// Run the in situ pipeline immediately (collective).
   void runPipelineNow();
 
-  /// Restore solver state from the newest valid checkpoint in
-  /// config.checkpointDir, skipping corrupt or truncated candidates
-  /// (collective). Returns the typed outcome; on success the solver's step
-  /// counter is rebased to the checkpointed step.
-  lb::RestoreResult restoreLatest();
+  /// The restore ladder (collective), used by rank-death recovery, the
+  /// sentinel rollback and restarts alike: the newest complete buddy
+  /// snapshot when a store is attached, then the newest valid checkpoint
+  /// in config.checkpointDir (skipping corrupt or truncated ones) when
+  /// checkpoints are written, then — only with `allowColdStart` — a cold
+  /// start from step 0, which keeps a driver that has not stepped as it is
+  /// and drops the store's slots. A restored solver's step counter is
+  /// rebased to the snapshot's step; steered parameters are kept on every
+  /// rung; a miss leaves the solver untouched.
+  RestoreOutcome restoreState(bool allowColdStart);
 
   /// True while a broker is attached and healthy. After a broker failure
   /// the driver degrades to solver-only (no steering) and this flips false
@@ -256,6 +273,12 @@ class SimulationDriver {
   void noteFlight(const std::string& what);
   /// Rank 0: write the graceful-degradation diagnostic dump.
   void writeDiagnosticDump(const SentinelVerdict& verdict);
+  /// Build solver, ghost field and octree on `domain` (collective): the
+  /// one stack build, at construction and after a migration. When a solver
+  /// exists, its params, iolet overrides and step counter carry over and
+  /// `populations` (external-order columns over `domain`) become its state.
+  void standUp(const lb::DomainMap& domain,
+               const std::vector<std::vector<double>>& populations);
   /// Trigger-policy check run every repartitionEvery steps (collective).
   void maybeRepartition();
   /// Per-site cost field derived from the last window's per-rank reports:

@@ -18,7 +18,7 @@ namespace hemo::core {
 
 namespace {
 
-/// User tag for the agreement round (9001/9002 checkpoint, 9851 buddy).
+/// User tag for the agreement round (9851/9852 are the buddy mirror).
 constexpr int kTagAgree = 9861;
 
 void noteFlight(const std::string& what) {
@@ -53,6 +53,11 @@ std::vector<int> agreeOnDeadSet(comm::Communicator& comm,
   // Each restart consumes a strictly newer epoch, so non-convergence means
   // more deaths than ranks — impossible; the cap only guards a logic bug.
   const int maxAttempts = 64 + 8 * comm.size();
+  // Newest epoch each peer (group rank) has announced, kept across
+  // attempts: a peer that announced epoch E, collected its acks and
+  // returned never announces E again, so an announcement that arrived while
+  // this rank was still on an older epoch must count once it catches up.
+  std::vector<std::uint32_t> heard(static_cast<std::size_t>(comm.size()), 0);
   for (int attempt = 0; attempt < maxAttempts; ++attempt) {
     // Consistent snapshot: the epoch counts *completed* declarations, so a
     // dead set of exactly `epoch` ranks is uniquely determined by the
@@ -87,25 +92,23 @@ std::vector<int> agreeOnDeadSet(comm::Communicator& comm,
         if (acked[i] != 0) continue;
         const int r = peers[i];
         const int w = comm.worldRankOf(r);
+        auto& newest = heard[static_cast<std::size_t>(r)];
         std::vector<std::byte> payload;
         while (comm.tryRecvBytes(r, kTagAgree, payload)) {
           std::uint32_t got = 0;
           std::memcpy(&got, payload.data(),
                       std::min(sizeof got, payload.size()));
-          if (got == epoch) {
-            acked[i] = 1;
-            ++ackedCount;
-            progress = true;
-            break;
-          }
-          if (got > epoch) {
-            restart = true;  // the peer already sees a newer death
-            break;
-          }
-          // got < epoch: stale ack from an abandoned attempt; drain it.
+          newest = std::max(newest, got);
         }
-        if (restart || acked[i] != 0) continue;
-        if (board.epoch() != epoch) {
+        if (newest == epoch) {
+          acked[i] = 1;
+          ++ackedCount;
+          progress = true;
+          continue;
+        }
+        if (newest > epoch) {
+          restart = true;  // the peer already sees a newer death
+        } else if (board.epoch() != epoch) {
           restart = true;  // someone declared a new death mid-round
         } else if (board.dead(w)) {
           restart = true;
@@ -138,7 +141,6 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
                                              const CompletionHook& onComplete,
                                              serve::SessionBroker* broker) {
   Result result;
-  result.survivors = ranks;
   buddy_.clear();
   const auto graph = partition::buildSiteGraph(lattice_);
 
@@ -153,64 +155,35 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
   const auto rankMain = [&](comm::Communicator& world) {
     comm::Communicator comm = world;
     auto& board = rt.deathBoard();
-    bool resuming = false;
     std::vector<int> knownDead;
     std::vector<RecoveryEvent> localEvents;
     WallTimer eventTimer;  // reset at detection; read at resume-ready
     for (;;) {
       try {
         // (Re)build the full stack on the current survivor group: fresh
-        // partition of the survivors, domain map, solver, pipeline.
+        // partition of the survivors, domain map, driver.
         const auto part = partitioner_.partition(graph, comm.size());
         lb::DomainMap domain(lattice_, part, comm.rank());
         DriverConfig cfg = config_;
-        if (recovery_.buddy) {
-          cfg.buddy.store = &buddy_;
-        }
+        if (recovery_.buddy) cfg.buddy.store = &buddy_;
         SimulationDriver driver(domain, comm, cfg);
         // Serving stays up while world rank 0 (the broker's home) lives;
         // after its death the run degrades to solver-only.
         if (broker != nullptr && comm.worldRankOf(0) == 0) {
           driver.attachBroker(comm.rank() == 0 ? broker : nullptr);
         }
-
-        if (resuming) {
+        if (!localEvents.empty()) {
           RecoveryEvent& ev = localEvents.back();
           WallTimer restoreTimer;
-          bool restored = false;
-          if (recovery_.buddy) {
-            const auto r =
-                lb::restoreFromBuddy(buddy_, driver.solver(), comm);
-            if (r.ok()) {
-              restored = true;
-              ev.usedBuddy = true;
-              ev.restoredStep = r.step;
-            } else {
-              noteFlight("recover: buddy restore unavailable (" + r.detail +
-                         "); falling back");
-            }
+          const auto restored = driver.restoreState(recovery_.allowColdRestart);
+          if (!restored.ok()) {
+            throw std::runtime_error(
+                "recovery: no restorable snapshot (buddy or disk) and cold "
+                "restart is disabled");
           }
-          if (!restored && cfg.checkpointEvery > 0 &&
-              !cfg.checkpointDir.empty()) {
-            const auto r = driver.restoreLatest();
-            if (r.ok()) {
-              restored = true;
-              ev.restoredStep = r.step;
-            }
-          }
-          if (!restored) {
-            if (!recovery_.allowColdRestart) {
-              throw std::runtime_error(
-                  "recovery: no restorable snapshot (buddy or disk) and "
-                  "cold restart is disabled");
-            }
-            // Cold restart: deterministic solver, so replaying from step 0
-            // on the survivors still reproduces the reference fields. Old
-            // buddy slots would alias the replayed steps — drop them.
-            ev.coldRestart = true;
-            ev.restoredStep = 0;
-            buddy_.clear();
-          }
+          ev.usedBuddy = restored.source == StateSource::kBuddy;
+          ev.coldRestart = restored.source == StateSource::kCold;
+          ev.restoredStep = restored.result.step;
           ev.restoreSeconds = restoreTimer.seconds();
           ev.totalSeconds = eventTimer.seconds();
           if (auto* t = telemetry::threadTelemetry()) {
@@ -222,30 +195,23 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
           noteFlight("recover: resumed from step " +
                      std::to_string(ev.restoredStep) + " on " +
                      std::to_string(comm.size()) + " survivors (" +
-                     (ev.coldRestart
-                          ? std::string("cold restart")
-                          : std::string(ev.usedBuddy ? "buddy" : "disk")) +
+                     (ev.coldRestart ? "cold restart"
+                                     : ev.usedBuddy ? "buddy" : "disk") +
                      ")");
         }
 
         const auto done = driver.solver().stepsDone();
-        const int remaining =
-            steps > static_cast<int>(done)
-                ? steps - static_cast<int>(done)
-                : 0;
-        driver.run(remaining);
-        if (onComplete) {
-          onComplete(domain, driver, comm);
-        }
-        {
-          std::lock_guard<std::mutex> lock(resultMutex);
-          result.completed = true;
-          result.survivors = comm.size();
-          result.finalStep = driver.solver().stepsDone();
-          if (comm.rank() == 0) {
-            result.events = localEvents;
-          }
-        }
+        driver.run(steps > static_cast<int>(done)
+                       ? steps - static_cast<int>(done)
+                       : 0);
+        if (onComplete) onComplete(domain, driver, comm);
+        std::lock_guard<std::mutex> lock(resultMutex);
+        result.completed = true;
+        // A rank that finished before a death completed too: count ranks,
+        // not the size of the last group.
+        ++result.survivors;
+        result.finalStep = driver.solver().stepsDone();
+        if (comm.rank() == 0) result.events = localEvents;
         return;
       } catch (const comm::PeerDeadError& e) {
         eventTimer.reset();
@@ -262,8 +228,10 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
         RecoveryEvent ev;
         ev.agreeSeconds = agreeTimer.seconds();
         for (const int w : dead) {
-          if (std::find(knownDead.begin(), knownDead.end(), w) ==
-              knownDead.end()) {
+          // A rank that returned normally leaves the group but did not die.
+          if (!board.finished(w) &&
+              std::find(knownDead.begin(), knownDead.end(), w) ==
+                  knownDead.end()) {
             ev.deadWorldRanks.push_back(w);
           }
           // A dead thread-rank's "node memory" is gone with it.
@@ -273,7 +241,6 @@ ResilientRunner::Result ResilientRunner::run(int ranks, int steps,
         comm = comm.shrink(dead);
         ev.survivors = comm.size();
         localEvents.push_back(ev);
-        resuming = true;
         bumpCounter("recover.events");
         noteFlight("recover: agreed on " + std::to_string(dead.size()) +
                    " dead rank(s); shrunk to " + std::to_string(comm.size()) +

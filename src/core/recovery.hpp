@@ -19,10 +19,14 @@
 ///   SHRINK   Communicator::shrink(): survivors re-rank stably onto a
 ///            fresh context; stale in-flight traffic is purged by epoch.
 ///   RESTORE  a fresh partition of the *survivors* is built through the
-///            pluggable partitioner, the driver (solver/ghosts/octree)
-///            rebuilt on it, and state restored — newest complete buddy
-///            snapshot (lb/buddy.hpp) first, disk checkpoint fallback,
-///            optional cold restart from step 0 when neither exists.
+///            pluggable partitioner and a fresh driver stood up on it; the
+///            driver's restore ladder (SimulationDriver::restoreState, the
+///            same one the sentinel rollback uses) then fills it: newest
+///            complete buddy snapshot (lb/buddy.hpp), else the newest valid
+///            disk checkpoint, else — with allowColdRestart — a cold
+///            restart from step 0. Both snapshot rungs route sites to
+///            their new owners through the one owner-routed transfer
+///            (lb/migration.hpp).
 ///   RESUME   the driver runs the remaining steps. Rank 0 re-attaches the
 ///            serving broker so client subscriptions survive the event;
 ///            if rank 0 itself died the run degrades to solver-only.
@@ -64,7 +68,8 @@ struct RecoveryConfig {
 
 /// One recovery event's timeline (MTTR decomposition for bench_resilience).
 struct RecoveryEvent {
-  /// World ranks newly declared dead in this event.
+  /// World ranks newly declared dead in this event: crashed or accused
+  /// ranks only, never one that had already finished its run.
   std::vector<int> deadWorldRanks;
   /// Group size after the shrink.
   int survivors = 0;
@@ -98,7 +103,8 @@ class ResilientRunner {
 
   struct Result {
     bool completed = false;
-    /// Group size at completion (== ranks when nothing died).
+    /// Ranks that completed the run (== ranks when nothing died). A rank
+    /// that finished before a death counts; it is not reported as dead.
     int survivors = 0;
     std::uint64_t finalStep = 0;
     std::vector<RecoveryEvent> events;

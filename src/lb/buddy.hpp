@@ -15,9 +15,10 @@
 /// disk (or a cold restart).
 ///
 /// The blob payload and validation reuse the checkpoint v2 machinery
-/// (ckptdetail::encodeBlob / parseCheckpointBlob), and restore routes
-/// sites by *current* ownership exactly like readCheckpoint — so a buddy
-/// snapshot taken on N ranks restores onto any survivor decomposition.
+/// (ckptdetail::encodeBlob / parseCheckpointBlob), and restore hands the
+/// decoded sites to the same owner-routed transfer as readCheckpoint and
+/// live migration — so a buddy snapshot taken on N ranks restores onto any
+/// survivor decomposition.
 
 #include <algorithm>
 #include <cstdint>
@@ -127,10 +128,10 @@ class BuddyStore {
 };
 
 namespace buddydetail {
-/// User tags for the ring mirror exchange (checkpoint scatter uses
-/// 9001/9002; stay clear of those and of kMaxUserTag collectives). The
-/// header and the blob travel as separate messages so the blob vector is
-/// handed to the mailbox whole — no pack/unpack copy on either side.
+/// User tags for the ring mirror exchange (clear of the recovery agreement
+/// tag and of kMaxUserTag collectives). The header and the blob travel as
+/// separate messages so the blob vector is handed to the mailbox whole — no
+/// pack/unpack copy on either side.
 inline constexpr int kTagMirror = 9851;
 inline constexpr int kTagMirrorBlob = 9852;
 }  // namespace buddydetail
@@ -196,19 +197,18 @@ std::uint64_t mirrorBuddy(const Solver<Lattice>& solver,
 
 /// Collective: restore the solver from the newest buddy snapshot whose
 /// blobs — drawn only from memory held by the ranks of `comm` — cover the
-/// whole lattice. Routes sites by current ownership (any survivor
-/// decomposition works) and validates coverage before applying, exactly
-/// like readCheckpoint. Typed failure when no complete snapshot exists
-/// (e.g. adjacent buddies died): the caller falls back to disk.
+/// whole lattice. The contributing holders decode their blobs and hand
+/// them to the owner-routed transfer (migration.hpp), so any survivor
+/// decomposition works and nothing is applied before coverage is checked.
+/// Typed failure when no complete snapshot exists (e.g. adjacent buddies
+/// died): the caller falls back to disk.
 template <typename Lattice>
 RestoreResult restoreFromBuddy(BuddyStore& store, Solver<Lattice>& solver,
                                comm::Communicator& comm) {
   comm::Communicator::TrafficScope scope(comm, comm::Traffic::kIo);
   constexpr int kQ = Lattice::kQ;
-  const auto& domain = solver.domain();
   const std::uint64_t expectSites =
-      comm.allreduceSum<std::uint64_t>(domain.numOwned());
-  const std::uint64_t numGlobalSites = domain.lattice().numFluidSites();
+      solver.domain().lattice().numFluidSites();
   const int n = comm.size();
 
   // Ship every live holder's slot metadata everywhere; each rank then
@@ -266,86 +266,30 @@ RestoreResult restoreFromBuddy(BuddyStore& store, Solver<Lattice>& solver,
                          "no complete buddy snapshot among survivors"};
   }
 
-  // Contributing holders decode their blobs and bucket sites by current
-  // owner; one all-to-all routes everything.
-  std::vector<std::vector<std::uint64_t>> idsToSend(
-      static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> valsToSend(static_cast<std::size_t>(n));
+  std::vector<CheckpointBlob> held;
   bool decodeOk = true;
   for (const auto& [owner, holderGroup] : holderOf) {
     if (holderGroup != comm.rank()) continue;
     std::vector<std::byte> blob;
-    if (!store.fetch(comm.worldRank(), owner, bestStep, blob)) {
-      decodeOk = false;
-      break;
-    }
-    CheckpointBlob parsed;
-    if (parseCheckpointBlob(blob, kQ, parsed, nullptr) != CkptStatus::kOk) {
-      decodeOk = false;
-      break;
-    }
-    for (std::size_t s = 0; s < parsed.ids.size(); ++s) {
-      const std::uint64_t id = parsed.ids[s];
-      if (id >= numGlobalSites) {
-        decodeOk = false;
-        break;
-      }
-      const auto dest = static_cast<std::size_t>(domain.ownerOf(id));
-      idsToSend[dest].push_back(id);
-      auto& vals = valsToSend[dest];
-      for (int i = 0; i < kQ; ++i) {
-        vals.push_back(parsed.f[static_cast<std::size_t>(i)][s]);
-      }
-    }
+    decodeOk = store.fetch(comm.worldRank(), owner, bestStep, blob) &&
+               parseCheckpointBlob(blob, kQ, held.emplace_back(), nullptr) ==
+                   CkptStatus::kOk;
     if (!decodeOk) break;
   }
   if (comm.allreduceMin(decodeOk ? 1 : 0) != 1) {
     return RestoreResult{CkptStatus::kCrcMismatch, bestStep,
                          "buddy blob failed validation on a holder"};
   }
-  const auto idsRecv = comm.alltoallVec(idsToSend);
-  const auto valsRecv = comm.alltoallVec(valsToSend);
-
-  // Validate-then-apply, exactly like readCheckpoint: a failed restore
-  // leaves the solver untouched on every rank.
-  std::vector<std::vector<double>> f(
-      static_cast<std::size_t>(kQ),
-      std::vector<double>(domain.numOwned(), 0.0));
-  std::vector<char> seen(domain.numOwned(), 0);
-  bool localOk = true;
-  std::uint64_t applied = 0;
-  for (int src = 0; src < n && localOk; ++src) {
-    const auto& ids = idsRecv[static_cast<std::size_t>(src)];
-    const auto& vals = valsRecv[static_cast<std::size_t>(src)];
-    if (vals.size() != ids.size() * static_cast<std::size_t>(kQ)) {
-      localOk = false;
-      break;
-    }
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const auto local = domain.localOf(ids[s]);
-      if (local < 0 || seen[static_cast<std::size_t>(local)] != 0) {
-        localOk = false;
-        break;
-      }
-      seen[static_cast<std::size_t>(local)] = 1;
-      for (int i = 0; i < kQ; ++i) {
-        f[static_cast<std::size_t>(i)][static_cast<std::size_t>(local)] =
-            vals[s * static_cast<std::size_t>(kQ) + static_cast<std::size_t>(i)];
-      }
-      ++applied;
-    }
-  }
-  localOk = localOk && applied == domain.numOwned();
-  if (comm.allreduceMin(localOk ? 1 : 0) != 1) {
-    return RestoreResult{CkptStatus::kGeometryMismatch, bestStep,
-                         "buddy sites do not cover the partition"};
-  }
+  std::vector<std::vector<double>> f;
+  auto result = transferToOwners<kQ>(solver.domain(), comm, std::move(held), f);
+  result.step = bestStep;
+  if (!result.ok()) return result;
   solver.setDistributions(f);
   solver.setStepsDone(bestStep);
   if (auto* t = telemetry::threadTelemetry()) {
     t->metrics().counter("buddy.restores").add(1);
   }
-  return RestoreResult{CkptStatus::kOk, bestStep, {}};
+  return result;
 }
 
 }  // namespace hemo::lb

@@ -34,13 +34,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "io/serial.hpp"
+#include "lb/migration.hpp"
 #include "lb/solver.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/faultinject.hpp"
@@ -99,40 +99,6 @@ inline std::uint32_t crc32(const std::byte* data, std::size_t n) {
 inline std::uint32_t crc32(const std::vector<std::byte>& bytes) {
   return crc32(bytes.data(), bytes.size());
 }
-
-// --- typed restore outcome --------------------------------------------------
-
-enum class CkptStatus : std::uint8_t {
-  kOk = 0,
-  kOpenFailed,         ///< file missing or unreadable
-  kBadMagic,           ///< not a checkpoint file
-  kFormatMismatch,     ///< version or kQ differs from this build
-  kTruncated,          ///< file ends mid-structure
-  kCrcMismatch,        ///< stored CRC32 does not match the bytes
-  kGeometryMismatch,   ///< site set does not cover the current lattice
-};
-
-inline const char* ckptStatusName(CkptStatus s) {
-  switch (s) {
-    case CkptStatus::kOk: return "ok";
-    case CkptStatus::kOpenFailed: return "open-failed";
-    case CkptStatus::kBadMagic: return "bad-magic";
-    case CkptStatus::kFormatMismatch: return "format-mismatch";
-    case CkptStatus::kTruncated: return "truncated";
-    case CkptStatus::kCrcMismatch: return "crc-mismatch";
-    case CkptStatus::kGeometryMismatch: return "geometry-mismatch";
-  }
-  return "unknown";
-}
-
-/// Outcome of readCheckpoint()/restoreLatest(). On failure the solver is
-/// left untouched (validation happens before any state is applied).
-struct RestoreResult {
-  CkptStatus status = CkptStatus::kOk;
-  std::uint64_t step = 0;     ///< step the checkpoint was taken at (kOk)
-  std::string detail;         ///< human-readable failure note (rank 0)
-  bool ok() const { return status == CkptStatus::kOk; }
-};
 
 struct CheckpointOptions {
   /// Stripe files written concurrently by per-rank-group leaders.
@@ -231,15 +197,16 @@ inline bool atomicWriteFile(const std::string& path, int rank,
   return true;
 }
 
+/// Read a whole file into `out`, sized from the file: one copy in memory.
 inline bool readFileBytes(const std::string& path,
                           std::vector<std::byte>& out) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f.good()) return false;
-  const std::string raw((std::istreambuf_iterator<char>(f)),
-                        std::istreambuf_iterator<char>());
-  out.resize(raw.size());
-  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
-  return true;
+  const std::streamsize size = f.tellg();
+  if (size < 0) return false;
+  out.resize(static_cast<std::size_t>(size));
+  f.seekg(0);
+  return f.read(reinterpret_cast<char*>(out.data()), size).good();
 }
 
 inline void countCrcFail() {
@@ -251,11 +218,6 @@ inline void countCrcFail() {
 }  // namespace ckptdetail
 
 // --- parsing (rank 0; unit-testable without a communicator) ----------------
-
-struct CheckpointBlob {
-  std::vector<std::uint64_t> ids;
-  std::vector<std::vector<double>> f;  ///< [q][site]
-};
 
 struct ParsedCheckpoint {
   std::uint64_t step = 0;
@@ -448,116 +410,44 @@ std::uint64_t writeCheckpoint(const std::string& path,
 /// Collective: restore distributions from a checkpoint written by any rank
 /// layout (sites are routed to their current owners, so the partition may
 /// differ from the writing run — repartition-restart). Rank 0 parses and
-/// validates; the outcome is broadcast before any state is applied, so on
-/// failure every rank returns the same typed error and the solver is
-/// untouched. On success the solver's step counter is rebased.
+/// validates and broadcasts the verdict; on success the parsed sites go
+/// through the owner-routed transfer (migration.hpp). On any failure every
+/// rank returns the same typed error and the solver is untouched. On
+/// success the solver's step counter is rebased.
 template <typename Lattice>
 RestoreResult readCheckpoint(const std::string& path, Solver<Lattice>& solver,
                              comm::Communicator& comm) {
   comm::Communicator::TrafficScope scope(comm, comm::Traffic::kIo);
   constexpr int kQ = Lattice::kQ;
-  const auto& domain = solver.domain();
-  const std::uint64_t expectSites =
-      comm.allreduceSum<std::uint64_t>(domain.numOwned());
-  const std::uint64_t numGlobalSites = domain.lattice().numFluidSites();
-
-  // Rank 0 parses, validates, and buckets each site's id + Q values by
-  // its current owner. Ids stay uint64 end to end (the v1 bug routed them
-  // through double, corrupting ids above 2^53).
-  std::vector<std::vector<std::uint64_t>> idsToSend(
-      static_cast<std::size_t>(comm.size()));
-  std::vector<std::vector<double>> valsToSend(
-      static_cast<std::size_t>(comm.size()));
+  ParsedCheckpoint parsed;
   std::uint8_t status8 = static_cast<std::uint8_t>(CkptStatus::kOk);
-  std::uint64_t step = 0;
   std::string detailMsg;
   if (comm.rank() == 0) {
-    ParsedCheckpoint parsed;
     CkptStatus st = parseCheckpoint(path, kQ, parsed, &detailMsg);
+    const std::uint64_t expectSites =
+        solver.domain().lattice().numFluidSites();
     if (st == CkptStatus::kOk && parsed.totalSites != expectSites) {
       st = CkptStatus::kGeometryMismatch;
       detailMsg = "checkpoint holds " + std::to_string(parsed.totalSites) +
-                  " sites, lattice owns " + std::to_string(expectSites);
-    }
-    if (st == CkptStatus::kOk) {
-      for (const auto& blob : parsed.blobs) {
-        for (const std::uint64_t id : blob.ids) {
-          if (id >= numGlobalSites) {
-            st = CkptStatus::kGeometryMismatch;
-            detailMsg = "site id " + std::to_string(id) + " out of range";
-            break;
-          }
-        }
-        if (st != CkptStatus::kOk) break;
-      }
-    }
-    if (st == CkptStatus::kOk) {
-      step = parsed.step;
-      for (auto& blob : parsed.blobs) {
-        for (std::size_t s = 0; s < blob.ids.size(); ++s) {
-          const auto owner =
-              static_cast<std::size_t>(domain.ownerOf(blob.ids[s]));
-          idsToSend[owner].push_back(blob.ids[s]);
-          auto& vals = valsToSend[owner];
-          for (int i = 0; i < kQ; ++i) {
-            vals.push_back(blob.f[static_cast<std::size_t>(i)][s]);
-          }
-        }
-      }
+                  " sites, lattice has " + std::to_string(expectSites);
     }
     status8 = static_cast<std::uint8_t>(st);
   }
   comm.bcast(status8, 0);
+  std::uint64_t step = parsed.step;
   comm.bcast(step, 0);
   const auto status = static_cast<CkptStatus>(status8);
   if (status != CkptStatus::kOk) {
     return RestoreResult{status, step, detailMsg};
   }
-
-  // Scatter: rank 0 sends each rank its slice (ids and values separately).
-  std::vector<std::uint64_t> ids;
-  std::vector<double> vals;
-  if (comm.rank() == 0) {
-    for (int r = 1; r < comm.size(); ++r) {
-      comm.sendVec(r, 9001, idsToSend[static_cast<std::size_t>(r)]);
-      comm.sendVec(r, 9002, valsToSend[static_cast<std::size_t>(r)]);
-    }
-    ids = std::move(idsToSend[0]);
-    vals = std::move(valsToSend[0]);
-  } else {
-    ids = comm.recvVec<std::uint64_t>(0, 9001);
-    vals = comm.recvVec<double>(0, 9002);
-  }
-
-  // Validate-then-apply: a failed restore leaves the solver untouched.
-  bool localOk = ids.size() == domain.numOwned() &&
-                 vals.size() == ids.size() * static_cast<std::size_t>(kQ);
-  std::vector<std::vector<double>> f(
-      static_cast<std::size_t>(kQ),
-      std::vector<double>(domain.numOwned(), 0.0));
-  std::vector<char> seen(domain.numOwned(), 0);
-  if (localOk) {
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      const auto local = domain.localOf(ids[s]);
-      if (local < 0 || seen[static_cast<std::size_t>(local)] != 0) {
-        localOk = false;
-        break;
-      }
-      seen[static_cast<std::size_t>(local)] = 1;
-      for (int i = 0; i < kQ; ++i) {
-        f[static_cast<std::size_t>(i)][static_cast<std::size_t>(local)] =
-            vals[s * static_cast<std::size_t>(kQ) +
-                 static_cast<std::size_t>(i)];
-      }
-    }
-  }
-  if (comm.allreduceMin(localOk ? 1 : 0) != 1) {
-    return RestoreResult{CkptStatus::kGeometryMismatch, step,
-                         "restored sites do not cover the partition"};
-  }
+  std::vector<std::vector<double>> f;
+  auto result =
+      transferToOwners<kQ>(solver.domain(), comm, std::move(parsed.blobs), f);
+  result.step = step;
+  if (!result.ok()) return result;
   solver.setDistributions(f);
   solver.setStepsDone(step);
-  return RestoreResult{CkptStatus::kOk, step, {}};
+  return result;
 }
 
 // --- directory policy: checkpointEvery / restoreLatest / prune --------------

@@ -23,6 +23,7 @@
 #include "core/driver.hpp"
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
+#include "lb/buddy.hpp"
 #include "lb/checkpoint.hpp"
 #include "lb/migration.hpp"
 #include "lb/solver.hpp"
@@ -88,6 +89,23 @@ void collectState(const lb::DomainMap& domain, lb::SolverD3Q19& solver,
     out.rho[domain.globalOf(l)] = solver.macro().rho[l];
     out.u[domain.globalOf(l)] = solver.macro().u[l];
   }
+}
+
+/// FNV-1a over the bits of every distribution, direction-major in global
+/// site order.
+std::uint64_t distributionDigest(const GlobalState& state) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& column : state.f) {
+    for (const double v : column) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
 }
 
 // --- data plane -------------------------------------------------------------
@@ -408,7 +426,9 @@ TEST(Migration, CheckpointRestoresAcrossMigrationEpoch) {
     rt.run([&](comm::Communicator& comm) {
       lb::DomainMap domain(lat, part, comm.rank());
       core::SimulationDriver driver(domain, comm, cfg);
-      const auto r = driver.restoreLatest();
+      const auto restored = driver.restoreState(/*allowColdStart=*/false);
+      EXPECT_EQ(restored.source, core::StateSource::kDisk);
+      const auto& r = restored.result;
       EXPECT_TRUE(r.ok()) << r.detail;
       EXPECT_EQ(r.step, 10u);
       driver.run(2);
@@ -426,6 +446,132 @@ TEST(Migration, CheckpointRestoresAcrossMigrationEpoch) {
     ASSERT_NEAR(stateB.rho[g], stateA.rho[g], 1e-13);
     ASSERT_NEAR((stateB.u[g] - stateA.u[g]).norm(), 0.0, 1e-13);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Migration, SteeredStateSurvivesMigration) {
+  const auto lat = tubeLattice();
+  ASSERT_GE(lat.iolets().size(), 2u);
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part = kway.partition(graph, 2);
+  const auto cfg = plainDriverConfig();
+  // Every kind of steered solver state: tau and body force (LbParams), an
+  // iolet density, and a velocity override that also switches iolet 1 to
+  // the velocity boundary condition.
+  const double tau = 0.85;
+  const Vec3d force{2e-5, 1e-6, 0.0};
+  const double inletDensity = 1.002;
+  const Vec3d outletVelocity{0.004, 0.0, 0.0};
+
+  // Both runs: 6 steps, steer, 10 more steps; the second migrates right
+  // after steering.
+  GlobalState reference(lat.numFluidSites());
+  GlobalState migrated(lat.numFluidSites());
+  for (const bool migrate : {false, true}) {
+    SCOPED_TRACE(migrate);
+    comm::Runtime rt(2);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part, comm.rank());
+      core::SimulationDriver driver(domain, comm, cfg);
+      driver.run(6);
+      driver.solver().setTau(tau);
+      driver.solver().setBodyForce(force);
+      driver.solver().setIoletDensity(0, inletDensity);
+      driver.solver().setIoletVelocity(1, outletVelocity);
+      if (migrate) {
+        EXPECT_TRUE(driver.migrateNow(skewedCosts(part)).migrated);
+        const auto& s = driver.solver();
+        EXPECT_EQ(s.params().tau, tau);
+        EXPECT_EQ(s.params().bodyForce.x, force.x);
+        EXPECT_EQ(s.params().bodyForce.y, force.y);
+        EXPECT_EQ(s.params().bodyForce.z, force.z);
+        EXPECT_EQ(s.ioletDensity(0), inletDensity);
+        EXPECT_TRUE(s.ioletIsVelocityBc(1));
+        EXPECT_EQ(s.ioletVelocity(1).x, outletVelocity.x);
+        EXPECT_EQ(s.ioletVelocity(1).y, outletVelocity.y);
+        EXPECT_EQ(s.ioletVelocity(1).z, outletVelocity.z);
+        EXPECT_EQ(s.stepsDone(), 6u);
+      }
+      driver.run(10);
+      collectState(driver.domain(), driver.solver(),
+                   migrate ? migrated : reference);
+    });
+  }
+  for (int i = 0; i < lb::SolverD3Q19::kQ; ++i) {
+    for (std::size_t g = 0; g < reference.f[0].size(); ++g) {
+      ASSERT_NEAR(migrated.f[static_cast<std::size_t>(i)][g],
+                  reference.f[static_cast<std::size_t>(i)][g], 1e-13)
+          << "direction " << i << " site " << g;
+    }
+  }
+  for (std::size_t g = 0; g < reference.rho.size(); ++g) {
+    ASSERT_NEAR(migrated.rho[g], reference.rho[g], 1e-13);
+    ASSERT_NEAR((migrated.u[g] - reference.u[g]).norm(), 0.0, 1e-13);
+  }
+}
+
+TEST(Migration, OneTransferThreeSourcesIdenticalBits) {
+  // One 4-rank state put onto the same 3-rank partition three ways: live
+  // migration, a buddy snapshot and a disk checkpoint. All three go through
+  // the one owner-routed transfer, so the bits must not depend on the
+  // source — nor differ from the state they came from.
+  const auto lat = tubeLattice();
+  const auto graph = partition::buildSiteGraph(lat);
+  partition::MultilevelKWayPartitioner kway;
+  const auto part4 = kway.partition(graph, 4);
+  const auto part3 = kway.partition(graph, 3);
+  const auto params = plainDriverConfig().lb;
+  const std::string dir = "/tmp/hemo_test_three_sources";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/" + lb::checkpointFileName(7);
+
+  lb::BuddyStore store;
+  GlobalState source(lat.numFluidSites());
+  GlobalState live(lat.numFluidSites());
+  {
+    comm::Runtime rt(4);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part4, comm.rank());
+      lb::SolverD3Q19 solver(domain, comm, params);
+      solver.run(7);  // odd step count: the AA layout's odd parity
+      collectState(domain, solver, source);
+      lb::writeCheckpoint(path, solver, comm);
+      lb::mirrorBuddy(solver, comm, store);
+      // The 3-part partition on 4 ranks: rank 3 ends up owning nothing.
+      lb::DomainMap target(lat, part3, comm.rank());
+      std::vector<std::vector<double>> columns;
+      lb::migrateDistributions(solver, target, comm, columns);
+      for (int i = 0; i < lb::SolverD3Q19::kQ; ++i) {
+        for (std::uint32_t l = 0; l < target.numOwned(); ++l) {
+          live.f[static_cast<std::size_t>(i)][target.globalOf(l)] =
+              columns[static_cast<std::size_t>(i)][l];
+        }
+      }
+    });
+  }
+  GlobalState fromBuddy(lat.numFluidSites());
+  GlobalState fromDisk(lat.numFluidSites());
+  {
+    comm::Runtime rt(3);
+    rt.run([&](comm::Communicator& comm) {
+      lb::DomainMap domain(lat, part3, comm.rank());
+      lb::SolverD3Q19 buddySolver(domain, comm, params);
+      const auto b = lb::restoreFromBuddy(store, buddySolver, comm);
+      EXPECT_TRUE(b.ok()) << b.detail;
+      EXPECT_EQ(b.step, 7u);
+      collectState(domain, buddySolver, fromBuddy);
+      lb::SolverD3Q19 diskSolver(domain, comm, params);
+      const auto d = lb::readCheckpoint(path, diskSolver, comm);
+      EXPECT_TRUE(d.ok()) << d.detail;
+      EXPECT_EQ(d.step, 7u);
+      collectState(domain, diskSolver, fromDisk);
+    });
+  }
+  const auto expected = distributionDigest(source);
+  EXPECT_EQ(distributionDigest(live), expected);
+  EXPECT_EQ(distributionDigest(fromBuddy), expected);
+  EXPECT_EQ(distributionDigest(fromDisk), expected);
   std::filesystem::remove_all(dir);
 }
 

@@ -177,6 +177,39 @@ TEST(Agreement, SurvivorsConvergeOnIdenticalDeadSetAndShrunkenComm) {
   }
 }
 
+TEST(Agreement, SplitOfShrunkenCommKeepsItsGeneration) {
+  // writeCheckpoint splits the communicator into stripe groups. After a
+  // recovery the split child must belong to the shrunken generation: one
+  // born at epoch 0 throws PeerDeadError from any wait longer than a poll
+  // slice, and the survivors then wait on each other forever.
+  const comm::LivenessConfig cfg{true, 500, 5};
+  comm::Runtime rt(4);
+  rt.setLiveness(cfg);
+  comm::RunOptions opt;
+  opt.tolerateRankDeath = true;
+  std::vector<std::size_t> gathered(4, 0);
+  rt.run(
+      [&](comm::Communicator& comm) {
+        if (comm.worldRank() == 2) {
+          throw util::RankKilledError("simulated death");
+        }
+        auto& board = rt.deathBoard();
+        board.declareDead(2);
+        auto small = comm.shrink(core::agreeOnDeadSet(comm, board, cfg));
+        auto sub = small.split(0, small.rank());
+        EXPECT_EQ(sub.bornEpoch(), small.bornEpoch());
+        // The root waits well past a poll slice for the others.
+        if (sub.rank() != 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        const auto all = sub.gatherVec(std::vector<int>{sub.rank()}, 0);
+        gathered[static_cast<std::size_t>(comm.worldRank())] = all.size();
+        small.barrier();
+      },
+      opt);
+  EXPECT_EQ(gathered[0], 3u);
+}
+
 // --- rank-count-independent restore ----------------------------------------
 
 TEST(Recovery, CheckpointRestoresOntoFewerRanksAcrossStripings) {
@@ -373,6 +406,52 @@ TEST(Recovery, KillMidStepRecoversFromBuddyWithoutFilesystem) {
   EXPECT_TRUE(result.events[0].usedBuddy);
   EXPECT_EQ(result.events[0].restoredStep, 5u);
   expectMatchesReference(u, reference);
+}
+
+TEST(Recovery, RankThatFinishedBeforeTheDeathCountsAsSurvivor) {
+  // hemo_rankdeath_soak --seed 6 --ranks 6 --steps 24, iteration 4: rank 0
+  // dies at its 23rd step. A rank two halo hops away can still finish all
+  // 24 steps and return before anyone detects the death; it then leaves
+  // the group but is neither dead nor lost. The other four survivors
+  // replay the tail from the step-20 checkpoint.
+  const auto lat = tubeLattice();
+  partition::MultilevelKWayPartitioner kway;
+  const std::string dir = "/tmp/hemo_test_recover_finished";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto reference = serialReference(lat, 24);
+
+  auto cfg = plainDriverConfig();
+  cfg.checkpointEvery = 5;
+  cfg.checkpointDir = dir;
+
+  core::RecoveryConfig rcfg;
+  rcfg.liveness = {true, 2000, 5};
+
+  util::FaultScope scope(10);
+  util::FaultRule rule;
+  rule.site = util::FaultSite::kDriverStep;
+  rule.action = util::FaultAction::kKill;
+  rule.rank = 0;
+  rule.afterHits = 22;
+  rule.maxFires = 1;
+  scope.rule(rule);
+
+  std::vector<Vec3d> u(lat.numFluidSites());
+  core::ResilientRunner runner(lat, kway, cfg, rcfg);
+  const auto result = runner.run(
+      6, 24,
+      [&](const lb::DomainMap& domain, core::SimulationDriver& driver,
+          comm::Communicator&) { collectU(domain, driver.solver(), u); });
+
+  ASSERT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.survivors, 5);
+  EXPECT_EQ(result.finalStep, 24u);
+  ASSERT_EQ(result.events.size(), 1u);
+  EXPECT_EQ(result.events[0].deadWorldRanks, (std::vector<int>{0}));
+  EXPECT_EQ(result.events[0].restoredStep, 20u);
+  expectMatchesReference(u, reference);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Recovery, HungRankIsAccusedByTimeoutAndRunRecovers) {

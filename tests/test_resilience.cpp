@@ -23,6 +23,7 @@
 #include "geometry/shapes.hpp"
 #include "geometry/voxelizer.hpp"
 #include "io/serial.hpp"
+#include "lb/buddy.hpp"
 #include "lb/checkpoint.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
@@ -738,7 +739,9 @@ TEST(DriverRecovery, KilledRankRestoresFromCheckpointAndMatchesReference) {
     rt.run([&](comm::Communicator& comm) {
       lb::DomainMap domain(lat, part, comm.rank());
       core::SimulationDriver driver(domain, comm, ckptConfig);
-      const auto r = driver.restoreLatest();
+      const auto restored = driver.restoreState(/*allowColdStart=*/false);
+      EXPECT_EQ(restored.source, core::StateSource::kDisk);
+      const auto& r = restored.result;
       EXPECT_TRUE(r.ok()) << r.detail;
       EXPECT_EQ(r.step, 5u);
       driver.run(12 - static_cast<int>(r.step));
@@ -926,26 +929,15 @@ TEST(Sentinel, OffAndOnAreBitIdentical) {
   }
 }
 
-TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
+/// Divergence drill shared by the rollback tests: a steering client waits
+/// for a status at or past `cfg.checkpointEvery`, then sends a tau that
+/// diverges under the body force. The sentinel must roll back, quarantine
+/// the command (NACK after rollback) and finish all 200 steps.
+void expectRollbackAndQuarantine(const core::DriverConfig& cfg) {
   const auto lat = tubeLattice();
   const auto graph = partition::buildSiteGraph(lat);
   partition::MultilevelKWayPartitioner kway;
   const auto part = kway.partition(graph, 2);
-  const std::string dir = "/tmp/hemo_test_sentinel_rollback";
-  std::filesystem::remove_all(dir);
-
-  auto cfg = plainDriverConfig();
-  cfg.lb.bodyForce = {5e-3, 0, 0};  // keeps accelerating a low-tau run
-  cfg.statusEvery = 10;
-  cfg.checkpointEvery = 10;
-  cfg.checkpointDir = dir;
-  cfg.checkpointKeep = 8;
-  cfg.sentinel.checkEvery = 5;
-  cfg.sentinel.maxSpeed = 0.3;
-  cfg.sentinel.maxRollbacks = 3;
-  // The injected tau (0.502) is exactly what the stage-1 guard exists to
-  // refuse — disable it so the stage-2 sentinel has something to catch.
-  cfg.guard.enabled = false;
 
   serve::SessionBroker broker;
   std::uint32_t badId = 0;
@@ -1005,7 +997,43 @@ TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
   EXPECT_EQ(nack->commandId, badId);
   EXPECT_EQ(static_cast<int>(nack->reason),
             static_cast<int>(steer::RejectReason::kDivergence));
+}
+
+
+/// The divergence drill's configuration: low-tau run, checkpoint/mirror
+/// cadence 10, sentinel every 5 steps with up to 3 rollbacks.
+core::DriverConfig divergenceConfig() {
+  auto cfg = plainDriverConfig();
+  cfg.lb.bodyForce = {5e-3, 0, 0};  // keeps accelerating a low-tau run
+  cfg.statusEvery = 10;
+  cfg.checkpointEvery = 10;
+  cfg.sentinel.checkEvery = 5;
+  cfg.sentinel.maxSpeed = 0.3;
+  cfg.sentinel.maxRollbacks = 3;
+  // The injected tau (0.502) is exactly what the stage-1 guard exists to
+  // refuse — disable it so the stage-2 sentinel has something to catch.
+  cfg.guard.enabled = false;
+  return cfg;
+}
+
+TEST(Sentinel, DivergenceTriggersRollbackAndQuarantine) {
+  const std::string dir = "/tmp/hemo_test_sentinel_rollback";
   std::filesystem::remove_all(dir);
+  auto cfg = divergenceConfig();
+  cfg.checkpointDir = dir;
+  cfg.checkpointKeep = 8;
+  expectRollbackAndQuarantine(cfg);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Sentinel, RollsBackFromBuddySnapshotWithoutDisk) {
+  // No checkpoint directory: the restore ladder's buddy rung alone must
+  // carry the rollback, from RAM.
+  lb::BuddyStore store;
+  auto cfg = divergenceConfig();
+  cfg.buddy.store = &store;
+  expectRollbackAndQuarantine(cfg);
+  EXPECT_GT(store.bytesHeld(), 0u);
 }
 
 TEST(Sentinel, ExhaustedRetriesProduceDiagnosticDumpNotAbort) {

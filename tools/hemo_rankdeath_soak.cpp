@@ -12,17 +12,24 @@
 // Exit code 0 iff every iteration completed on the survivors and matched
 // the reference. On failure the flight recorder's postmortem bundles are
 // left in --out for upload; CI runs this in the Release job and attaches
-// that directory as an artifact when the step fails.
+// that directory as an artifact when the step fails. An iteration still
+// running after kIterationDeadline has hung: a watchdog prints the
+// reproducer (seed, iteration, victim, kill step), flushes a postmortem
+// bundle of every rank's flight ring into --out and exits with code 3.
 //
 // Usage: hemo_rankdeath_soak [--seed S] [--iterations K] [--ranks N]
 //                            [--steps T] [--checkpoint-every C] [--out DIR]
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -33,6 +40,7 @@
 #include "lb/domain_map.hpp"
 #include "lb/solver.hpp"
 #include "partition/partitioners.hpp"
+#include "telemetry/flightrec.hpp"
 #include "util/faultinject.hpp"
 
 namespace {
@@ -76,6 +84,55 @@ Options parseArgs(int argc, char** argv) {
   }
   return opt;
 }
+
+/// Wall-clock budget of one iteration. A healthy one at the CI shape takes
+/// well under a second, and a staleness accusation adds a few liveness
+/// timeouts; one still running after this long has hung.
+constexpr auto kIterationDeadline = std::chrono::seconds(60);
+
+/// Guards one iteration: unless destroyed before kIterationDeadline, it
+/// prints `reproducer`, flushes the flight registry's postmortem bundle
+/// into `outDir` and ends the process with exit code 3.
+class IterationWatchdog {
+ public:
+  IterationWatchdog(std::string reproducer, std::string outDir)
+      : thread_([this, reproducer = std::move(reproducer),
+                 outDir = std::move(outDir)] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          if (cv_.wait_for(lock, kIterationDeadline,
+                           [this] { return done_; })) {
+            return;
+          }
+          std::printf("  HANG after %lld s: %s\n",
+                      static_cast<long long>(kIterationDeadline.count()),
+                      reproducer.c_str());
+          auto& registry = telemetry::FlightRegistry::instance();
+          registry.arm(outDir);
+          const auto bundle = registry.flush("soak-hang", reproducer);
+          std::printf("  postmortem bundle: %s\n",
+                      bundle.empty() ? "(none written)" : bundle.c_str());
+          std::fflush(stdout);
+          std::_Exit(3);
+        }) {}
+
+  IterationWatchdog(const IterationWatchdog&) = delete;
+  IterationWatchdog& operator=(const IterationWatchdog&) = delete;
+
+  ~IterationWatchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
 
 geometry::SparseLattice soakLattice() {
   geometry::VoxelizeOptions vopt;
@@ -171,10 +228,22 @@ int main(int argc, char** argv) {
 
     std::vector<Vec3d> u(lattice.numFluidSites());
     core::ResilientRunner runner(lattice, kway, cfg, rcfg);
-    const auto result = runner.run(
-        opt.ranks, opt.steps,
-        [&u](const lb::DomainMap& domain, core::SimulationDriver& driver,
-             comm::Communicator&) { collectU(domain, driver.solver(), u); });
+    core::ResilientRunner::Result result;
+    {
+      const IterationWatchdog watchdog(
+          "hemo_rankdeath_soak --seed " + std::to_string(opt.seed) +
+              " --iterations " + std::to_string(it + 1) + " --ranks " +
+              std::to_string(opt.ranks) + " --steps " +
+              std::to_string(opt.steps) + " --checkpoint-every " +
+              std::to_string(opt.checkpointEvery) + ": iteration " +
+              std::to_string(it) + ", kill rank " + std::to_string(victim) +
+              " at step " + std::to_string(killStep),
+          opt.out);
+      result = runner.run(
+          opt.ranks, opt.steps,
+          [&u](const lb::DomainMap& domain, core::SimulationDriver& driver,
+               comm::Communicator&) { collectU(domain, driver.solver(), u); });
+    }
 
     bool ok = result.completed && !result.events.empty();
     double worst = 0.0;
